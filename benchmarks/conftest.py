@@ -18,7 +18,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.core import CompilerOptions, compile_program
+from repro.core import Compiler, CompilerOptions
 from repro.ir import lower_program
 from repro.profit import collect_feedback, sample_uninstrumented
 from repro.runtime import run_program
@@ -47,8 +47,8 @@ class Session:
             options = CompilerOptions(scheme=scheme, feedback=feedback) \
                 if feedback is not None or scheme != "ISPBO" \
                 else None
-            self._compiled[key] = compile_program(
-                workload.program(input_set), options)
+            self._compiled[key] = Compiler(options).compile(
+                workload.program(input_set))
         return self._compiled[key]
 
     def run_pair(self, workload, input_set="ref", scheme="ISPBO",

@@ -16,16 +16,16 @@ block the extra types.
 
 from conftest import once, save_result
 
-from repro.core import CompilerOptions, compile_program
+from repro.api import Session
+from repro.core import CompilerOptions
 
 
 def build(session, workloads):
     rows = []
     for wl in workloads:
         plain = session.compiled(wl, input_set="ref")
-        relaxed = compile_program(
-            wl.program("ref"),
-            CompilerOptions(relax_legality=True, transform=False))
+        relaxed = Session(CompilerOptions(
+            relax_legality=True, transform=False)).compile(wl.program("ref"))
         rows.append((
             wl.name,
             len(plain.legality.legal_types()),

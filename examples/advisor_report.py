@@ -11,9 +11,9 @@ Run:  python examples/advisor_report.py
 
 from pathlib import Path
 
-from repro import advisor_report, classify_report
+from repro import Session, advisor_report, classify_report
 from repro.advisor import program_vcg
-from repro.core import CompilerOptions, compile_program
+from repro.core import CompilerOptions
 from repro.profit import collect_feedback
 from repro.workloads import MCF
 
@@ -25,10 +25,9 @@ def main() -> None:
     print(f"  field samples  : {len(feedback.field_samples)}")
 
     print("compiling in advisory (analyze-only) mode...")
-    result = compile_program(
-        MCF.program("train"),
-        CompilerOptions(scheme="PBO", feedback=feedback,
-                        transform=False))
+    result = Session(CompilerOptions(scheme="PBO", feedback=feedback,
+                                     transform=False)
+                     ).compile(MCF.program("train"))
 
     print()
     print(advisor_report(result, feedback=feedback))

@@ -9,8 +9,7 @@ access to them now chases a link pointer.
 Run:  python examples/split_mcf.py
 """
 
-from repro import run_program
-from repro.core import compile_program
+from repro import Session, run_program
 from repro.transform import SplitSpec, split_structure
 from repro.workloads import MCF
 
@@ -24,7 +23,7 @@ def measure(program, transformed, label, baseline_cycles):
 
 def main() -> None:
     program = MCF.program("train")
-    result = compile_program(program)
+    result = Session().compile(program)
     decision = result.decision_for("node")
 
     print("node_t relative hotness (ISPBO):")

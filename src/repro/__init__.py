@@ -16,15 +16,14 @@ Quickstart::
     after = run_program(result.transformed)
     print(before.cycles / after.cycles)
 
-The legacy module-level ``compile_program`` / ``compile_source``
-helpers still work but are deprecated in favour of
-:class:`repro.api.Session` (see the migration table in DESIGN.md).
+:class:`repro.api.Session` is the one in-process entry point; it also
+compiles multi-unit programs (``compile_sources``) and serves typed
+:class:`CompileRequest` objects (``execute``).
 """
 
 from .frontend import Program
 from .core import (
-    Compiler, CompilerOptions, CompilationResult, compile_program,
-    compile_source, SCHEMES,
+    Compiler, CompilerOptions, CompilationResult, SCHEMES,
 )
 from .api import (
     CompileOptions, CompileReply, CompileRequest, Session,
@@ -36,7 +35,7 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Program", "Compiler", "CompilerOptions", "CompilationResult",
-    "compile_program", "compile_source", "SCHEMES",
+    "SCHEMES",
     "Session", "CompileOptions", "CompileRequest", "CompileReply",
     "run_program", "RunResult", "Machine", "CompiledProgram",
     "advisor_report", "classify_report", "__version__",

@@ -1,7 +1,7 @@
 """Legality, escape, dead-field, and points-to analyses (IPA layer)."""
 
 from .legality import (
-    analyze_legality, LegalityResult, LegalityAnalyzer, TypeInfo,
+    analyze_legality, LegalityResult, TypeInfo,
     AllocSite, ALL_REASONS, RELAXABLE_REASONS, SMAL_THRESHOLD,
     record_of, direct_record_of,
 )
@@ -14,7 +14,7 @@ from .pointsto import (
 )
 
 __all__ = [
-    "analyze_legality", "LegalityResult", "LegalityAnalyzer", "TypeInfo",
+    "analyze_legality", "LegalityResult", "TypeInfo",
     "AllocSite", "ALL_REASONS", "RELAXABLE_REASONS", "SMAL_THRESHOLD",
     "record_of", "direct_record_of",
     "analyze_escapes", "EscapeResult", "ESCAPE_REASON",

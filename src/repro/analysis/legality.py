@@ -472,20 +472,6 @@ def merge_unit_legality(program: Program,
     return result
 
 
-class LegalityAnalyzer:
-    """Whole-program driver, kept for API compatibility: summarizes
-    each unit and merges — the same halves the parallel pipeline and
-    the summary cache use separately."""
-
-    def __init__(self, program: Program):
-        self.program = program
-
-    def run(self) -> LegalityResult:
-        summaries = [summarize_unit_legality(u)
-                     for u in self.program.units]
-        return merge_unit_legality(self.program, summaries)
-
-
 def _alloc_count(call: ast.Call, rec: RecordType) -> int | None:
     """Statically-known element count of an allocation, or None.
 
@@ -523,5 +509,8 @@ def _literal_int(e: ast.Expr) -> int | None:
 
 
 def analyze_legality(program: Program) -> LegalityResult:
-    """Run the FE legality/property analysis over a whole program."""
-    return LegalityAnalyzer(program).run()
+    """Run the FE legality/property analysis over a whole program:
+    summarize each unit, then merge — the same halves the pass DAG and
+    the summary cache use separately."""
+    summaries = [summarize_unit_legality(u) for u in program.units]
+    return merge_unit_legality(program, summaries)

@@ -1,10 +1,7 @@
 """The typed public facade: one schema for every way in.
 
-Historically the toolchain had three separate entry paths — the
-module-level ``compile_program`` / ``compile_source`` /
-``compile_sources`` helpers, the CLI subcommands, and the service's
-hand-rolled wire validation — each with its own slightly different
-notion of "options".  This module unifies them:
+The in-process compiler, the CLI subcommands and the service's wire
+validation share one notion of "options" and one request shape:
 
 - :class:`CompileOptions` is the one options schema.  The CLI builds
   it from flags, the service validates wire dicts against it, and
@@ -18,8 +15,8 @@ notion of "options".  This module unifies them:
 - :class:`Session` is the in-process entry point: a compiler handle
   carrying options plus the observability hooks (a
   :class:`~repro.obs.Tracer` and a
-  :class:`~repro.obs.MetricsRegistry`).  It subsumes the deprecated
-  module-level ``compile_*`` helpers and can also execute a full
+  :class:`~repro.obs.MetricsRegistry`).  It compiles programs, source
+  texts and multi-unit source lists, and can also execute a full
   :class:`CompileRequest` locally — the *same* payload builder the
   service workers run (:func:`execute_tier`), so a local
   ``Session.execute`` and a daemon round-trip produce identical
@@ -153,8 +150,8 @@ class SearchOptions:
     sa_iters: int = 60                  # batches per restart
     sa_restarts: int = 2                # re-heats from the incumbent
     ilp_max_fields: int = 8             # exact-solver field threshold
-    #: greedy-floor knobs the ``--search`` flag absorbed from the old
-    #: ad-hoc ``--ts`` / ``--peel-mode`` flags (None = scheme default)
+    #: greedy-floor knobs, the same as :class:`CompileOptions`' ``ts``
+    #: and ``peel_mode`` (None = scheme default)
     ts: float | None = None             # splitting threshold, percent
     peel_mode: str | None = None        # auto|per-field|hot-cold|affinity
 
@@ -351,7 +348,7 @@ class CompileOptions:
             params.peel_mode = self.peel_mode
         if self.search is not None:
             # greedy-floor knobs riding on the search spec win over
-            # the deprecated top-level fields
+            # the top-level fields, which set them without a search
             if self.search.ts is not None:
                 params.ts_static = float(self.search.ts)
                 params.ts_profile = float(self.search.ts)
@@ -727,8 +724,7 @@ def execute_tier(op: str, tier: str, sources: list[tuple[str, str]],
 class Session:
     """An in-process compiler handle: options + observability.
 
-    The replacement for the deprecated module-level ``compile_*``
-    helpers::
+    The in-process entry point for every compile::
 
         from repro.api import Session
         result = Session().compile_source(text)

@@ -124,21 +124,10 @@ def _resolve_jobs(jobs) -> int:
     return jobs if jobs >= 1 else effective_cores()
 
 
-def _deprecated_flag(old: str, new: str) -> None:
-    """DeprecationWarning shim for flags the ``--search`` spec
-    absorbed (same pattern as the PR 5 ``compile_*`` shims; see the
-    migration table in DESIGN.md)."""
-    import warnings
-    warnings.warn(
-        f"{old} is deprecated; use {new} "
-        f"(see the migration table in DESIGN.md)",
-        DeprecationWarning, stacklevel=3)
-
-
 def _search_options(args) -> SearchOptions | None:
-    """Parse ``--search`` and the deprecated per-transform flags into
-    one :class:`SearchOptions` (None when no search was asked for —
-    the deprecated flags alone keep the greedy pipeline)."""
+    """Parse ``--search`` into a :class:`SearchOptions` (None when no
+    search was asked for — ``--ts`` / ``--peel-mode`` alone keep the
+    greedy pipeline)."""
     spec = getattr(args, "search", None)
     if spec is None:
         return None
@@ -151,11 +140,9 @@ def _search_options(args) -> SearchOptions | None:
 def _options(args) -> OptionBundle:
     params = HeuristicParams()
     if getattr(args, "ts", None) is not None:
-        _deprecated_flag("--ts", "--search ts=N")
         params.ts_static = args.ts
         params.ts_profile = args.ts
     if getattr(args, "peel_mode", None):
-        _deprecated_flag("--peel-mode", "--search peel=MODE")
         params.peel_mode = args.peel_mode
     search = _search_options(args)
     if search is not None:
@@ -625,10 +612,6 @@ def _client_request(args) -> CompileRequest:
     schema the service validates against — there is no second,
     hand-rolled wire dict to drift out of sync."""
     from .core.faults import ProcessFaultSpec
-    if args.ts is not None:
-        _deprecated_flag("--ts", "--search ts=N")
-    if args.peel_mode:
-        _deprecated_flag("--peel-mode", "--search peel=MODE")
     options = CompileOptions(
         scheme=args.scheme or "ISPBO",
         relax=bool(args.relax),
@@ -752,11 +735,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="tolerate CSTT/CSTF/ATKN when "
                                 "points-to proves field safety")
             p.add_argument("--ts", type=float, default=None,
-                           help="DEPRECATED: use --search ts=N")
+                           help="splitting threshold, percent "
+                                "(no search)")
             p.add_argument("--peel-mode", default=None,
                            choices=["auto", "per-field", "hot-cold",
                                     "affinity"],
-                           help="DEPRECATED: use --search peel=MODE")
+                           help="peeling mode (no search)")
             p.add_argument("--search", default=None, metavar="SPEC",
                            help="run the global layout search: "
                                 "comma-separated key=value options, "
@@ -1030,11 +1014,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W"])
     p.add_argument("--relax", action="store_true")
     p.add_argument("--ts", type=float, default=None,
-                   help="DEPRECATED: use --search ts=N")
+                   help="splitting threshold, percent (no search)")
     p.add_argument("--peel-mode", default=None,
                    choices=["auto", "per-field", "hot-cold",
                             "affinity"],
-                   help="DEPRECATED: use --search peel=MODE")
+                   help="peeling mode (no search)")
     p.add_argument("--search", default=None, metavar="SPEC",
                    help="layout-search options forwarded to the "
                         "daemon, e.g. 'engine=sa,budget=10s,seed=7'")

@@ -18,11 +18,10 @@ from .dag import (
     DagError, DagReport, DagScheduler, Node, NodeContext, PassDAG,
     effective_cores, process_pool, shutdown_process_pool,
 )
-from .fe import FEReport, UnifyError, assemble_program
+from .fe import FEReport, UnifyError
 from .pipeline import (
     Compiler, CompilerOptions, CompilationResult, PhaseGuard,
-    compile_program, compile_source, compile_sources, FAULT_REASON,
-    SCHEMES,
+    FAULT_REASON, SCHEMES,
 )
 from .summarycache import (
     CacheEvent, FsckReport, SummaryCache, fingerprint, fsck_cache,
@@ -31,7 +30,6 @@ from .summarycache import (
 
 __all__ = [
     "Compiler", "CompilerOptions", "CompilationResult", "PhaseGuard",
-    "compile_program", "compile_source", "compile_sources",
     "FAULT_REASON", "SCHEMES",
     "Diagnostic", "DiagnosticEngine", "FatalCompilerError", "SourceLoc",
     "SEVERITIES", "CODE_BUDGET", "CODE_CACHE", "CODE_CONTAINED",
@@ -48,7 +46,7 @@ __all__ = [
     "DagError", "DagReport", "DagScheduler", "Node", "NodeContext",
     "PassDAG", "effective_cores", "process_pool",
     "shutdown_process_pool",
-    "FEReport", "UnifyError", "assemble_program",
+    "FEReport", "UnifyError",
     "CacheEvent", "FsckReport", "SummaryCache", "fingerprint",
     "fsck_cache", "open_cache",
 ]

@@ -8,9 +8,9 @@ reproduces that structure for the MiniC frontend:
    because C's grammar needs to know which identifiers are type names
    before it can parse a unit that uses a typedef from an earlier unit.
 2. **Parse each TU in isolation** — its own token stream, its own
-   struct-tag and typedef tables — optionally on a
-   :class:`concurrent.futures.ProcessPoolExecutor` worker, and
-   optionally backed by the content-addressed parse cache.
+   struct-tag and typedef tables — as one ``parse[unit]`` node of the
+   pass DAG (:mod:`repro.core.pipeline`), optionally on the shared
+   process pool and backed by the content-addressed parse cache.
 3. **Unify** the per-unit type tables into whole-program canonical
    records and typedefs (the IPA "summary aggregation" for types),
    rewriting every AST type slot to the canonical objects and re-laying
@@ -19,8 +19,8 @@ reproduces that structure for the MiniC frontend:
    order, exactly like the serial front end.
 
 Determinism: workers are pure functions of ``(unit name, source,
-typedef seed)``, ``executor.map`` preserves submission order, and the
-unify step iterates units in submission order — so the assembled
+typedef seed)``, and :func:`finish_assembly` gathers the parse nodes'
+results and unifies them in source order — so the assembled
 program is byte-for-byte independent of ``--jobs`` and of worker
 completion order.
 
@@ -48,7 +48,7 @@ from ..frontend.sema import SemaError, SemanticAnalyzer
 from ..frontend.typesys import (
     INT, ArrayType, FunctionType, NamedType, PointerType, RecordType,
 )
-from .dag import process_pool, shutdown_process_pool
+from .dag import shutdown_process_pool
 from .summarycache import SummaryCache
 
 
@@ -367,22 +367,16 @@ def unify_units(parsed: list[ParsedUnit],
 
 
 # ---------------------------------------------------------------------------
-# The driver
+# Pass-DAG node bodies
 # ---------------------------------------------------------------------------
 
-def _legacy(sources: list[tuple[str, str]], recover: bool,
-            report: FEReport, reason: str) -> tuple[Program, FEReport]:
+def serial_fallback(sources: list[tuple[str, str]], recover: bool,
+                    report: FEReport, reason: str
+                    ) -> tuple[Program, FEReport]:
+    """Assemble with the serial FE, recording why in ``report``."""
     report.mode = "legacy"
     report.fallback_reason = reason
     return Program.from_sources(sources, recover=recover), report
-
-
-def legacy_assembly(sources: list[tuple[str, str]], recover: bool,
-                    report: FEReport, reason: str
-                    ) -> tuple[Program, FEReport]:
-    """Serial-FE fallback, public for the pass-DAG driver (which needs
-    it when parse *planning* itself fails, before any node exists)."""
-    return _legacy(sources, recover, report, reason)
 
 
 def plan_parses(sources: list[tuple[str, str]],
@@ -473,14 +467,17 @@ def finish_assembly(sources: list[tuple[str, str]],
         if pu.budget_exceeded:
             report.budget_overruns.append(pu.name)
         if pu.crashed is not None:
-            return _legacy(sources, recover, report,
-                           f"unit {pu.name} parse crashed: {pu.crashed}")
+            return serial_fallback(
+                sources, recover, report,
+                f"unit {pu.name} parse crashed: {pu.crashed}")
         if pu.errors:
-            return _legacy(sources, recover, report,
-                           f"unit {pu.name} has frontend errors")
+            return serial_fallback(
+                sources, recover, report,
+                f"unit {pu.name} has frontend errors")
         if pu.unit is None:
-            return _legacy(sources, recover, report,
-                           f"unit {pu.name} exceeded its parse budget")
+            return serial_fallback(
+                sources, recover, report,
+                f"unit {pu.name} exceeded its parse budget")
         if cache is not None and keys[i] is not None and fresh[i]:
             cache.store("parse", keys[i], pu)
 
@@ -489,7 +486,7 @@ def finish_assembly(sources: list[tuple[str, str]],
     except Exception as exc:
         reason = str(exc) if isinstance(exc, UnifyError) \
             else f"unify failed: {type(exc).__name__}: {exc}"
-        return _legacy(sources, recover, report, reason)
+        return serial_fallback(sources, recover, report, reason)
 
     prog = Program()
     prog.records = records
@@ -507,69 +504,3 @@ def finish_assembly(sources: list[tuple[str, str]],
             continue
         prog.units.append(pu.unit)
     return prog, report
-
-
-def assemble_program(sources: list[tuple[str, str]], *,
-                     jobs: int = 1,
-                     cache: SummaryCache | None = None,
-                     cache_salt: str = "",
-                     recover: bool = False,
-                     unit_budget: float | None = None
-                     ) -> tuple[Program, FEReport]:
-    """Build a :class:`Program` with the parallel/cached front end.
-
-    ``jobs=1`` runs the same isolated-parse + unify path inline (no
-    pool), so results are identical for every job count by
-    construction.  ``cache`` enables the per-TU parse tier, keyed by
-    ``(unit name, source, typedef seed, cache_salt)``.  Any input the
-    unified path cannot handle identically to the serial front end
-    falls back to :meth:`Program.from_sources`.
-    """
-    report = FEReport(jobs=jobs)
-    try:
-        tasks, prescans = plan_parses(sources, unit_budget)
-    except Exception as exc:                       # pragma: no cover
-        return _legacy(sources, recover, report,
-                       f"typedef pre-scan failed: {exc}")
-
-    # -- parse tier: cache lookups first ------------------------------
-    results: list[ParsedUnit | None] = [None] * len(tasks)
-    keys: list[str | None] = [None] * len(tasks)
-    pending: list[int] = []
-    for i, task in enumerate(tasks):
-        got, keys[i] = probe_parse_cache(task, cache, cache_salt)
-        if got is not None:
-            results[i] = got
-            report.parse_cache_hits += 1
-        else:
-            pending.append(i)
-
-    # -- parse the misses, fanned out when it pays --------------------
-    if pending:
-        n_workers = parse_pool_width(jobs, len(pending))
-        if n_workers > 1:
-            try:
-                parsed = _pool_map(
-                    [tasks[i] for i in pending], n_workers)
-            except Exception as exc:
-                shutdown_process_pool()
-                return _legacy(sources, recover, report,
-                               f"process pool failed: {exc}")
-        else:
-            parsed = [parse_unit_task(tasks[i]) for i in pending]
-        for i, pu in zip(pending, parsed):
-            results[i] = pu
-
-    pending_set = set(pending)
-    fresh = [i in pending_set for i in range(len(tasks))]
-    return finish_assembly(sources, results, keys, fresh, prescans,
-                           recover, report, cache)
-
-
-def _pool_map(tasks: list[tuple], n_workers: int) -> list[ParsedUnit]:
-    """Run :func:`parse_unit_task` over ``tasks`` on the shared process
-    pool, preserving input order."""
-    pool = process_pool(n_workers)
-    if pool is None:                               # pragma: no cover
-        return [parse_unit_task(t) for t in tasks]
-    return list(pool.map(parse_unit_task, tasks))

@@ -44,8 +44,7 @@ class Program:
 
     @classmethod
     def from_sources(cls, sources: list[tuple[str, str]],
-                     recover: bool = False, *,
-                     jobs: int = 1) -> "Program":
+                     recover: bool = False) -> "Program":
         """Build a program from ``[(unit_name, source_text), ...]``.
 
         With ``recover=True`` the frontend does not raise on broken
@@ -53,18 +52,7 @@ class Program:
         *all* errors in a unit are reported, and every lex/parse/sema
         error is collected into :attr:`frontend_errors` (units that
         fail semantic analysis are dropped from the program).
-
-        With ``jobs > 1`` units are parsed by a worker pool and unified
-        afterwards (falling back to this serial path whenever the
-        isolated-parse scheme cannot reproduce it exactly); the result
-        is identical to ``jobs=1``.  Requires ``recover=True``
-        semantics and therefore implies them.
         """
-        if jobs != 1:
-            from ..core.fe import assemble_program
-            program, _ = assemble_program(list(sources), jobs=jobs,
-                                          recover=True)
-            return program
         prog = cls()
         sema = SemanticAnalyzer(prog.symbols)
         for unit_name, text in sources:

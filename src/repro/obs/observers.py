@@ -1,21 +1,19 @@
 """The pass-event observer registry.
 
-The pipeline used to expose a single mutable ``PASS_OBSERVER``
-callable that fault injection, crash-report attribution, and (now)
-tracing and metrics all had to share — last writer wins, and a skipped
-teardown leaked one consumer's observer into the next compile.  This
-registry replaces it: any number of subscribers receive structured
-:class:`PassEvent`\\ s (``enter`` / ``exit`` / ``fail``) from every
-guarded pass, and the built-in consumers (tracing, metrics, per-pass
-profiling) are ordinary subscribers instead of privileged globals.
+Fault injection, crash-report attribution, tracing and metrics all
+watch the same passes, so none of them owns the hook: any number of
+subscribers receive structured :class:`PassEvent`\\ s (``enter`` /
+``exit`` / ``fail``) from every guarded pass, and the built-in
+consumers (tracing, metrics, per-pass profiling) are ordinary
+subscribers instead of privileged globals.
 
 Contract:
 
 - ``enter`` is published **before** the containment boundary, so a
   subscriber that raises a :class:`BaseException` (the service's
-  simulated-OOM process fault) escapes containment exactly like the
-  old hook; ordinary :class:`Exception`\\ s from subscribers are
-  swallowed — observability must never change compilation results.
+  simulated-OOM process fault) escapes containment; ordinary
+  :class:`Exception`\\ s from subscribers are swallowed —
+  observability must never change compilation results.
 - ``exit`` / ``fail`` are published after the pass body with its
   elapsed wall clock and the diagnostic count at that point, letting
   subscribers compute per-pass diagnostic deltas.

@@ -42,7 +42,7 @@ from ..api import CompileOptions, execute_tier
 from ..api import _type_rows  # noqa: F401  (re-exported; tests use it)
 from ..core.dag import shutdown_process_pool
 from ..core.faults import PROC_FAULTS, ProcessFault, ProcessFaultSpec
-from ..core.pipeline import CompilerOptions, PASS_EVENTS
+from ..core.pipeline import PASS_EVENTS
 from ..obs import CAT_SERVICE, Tracer
 
 #: bytes reserved for the shared current-pass name
@@ -65,16 +65,6 @@ def get_stage(state) -> str:
 # ---------------------------------------------------------------------------
 # Job execution (runs inside the worker process)
 # ---------------------------------------------------------------------------
-
-def build_options(odict: dict, tier: str,
-                  cache_dir: str | None) -> CompilerOptions:
-    """Compiler options for one job at one ladder tier.
-
-    Thin shim over the API schema — kept so existing callers and
-    tests have one name for "wire options dict -> core options"."""
-    return CompileOptions.from_dict(odict).compiler_options(
-        tier, cache_dir)
-
 
 def execute_job(job: dict, cache_dir: str | None,
                 tracer: Tracer | None = None) -> tuple[dict, list]:
@@ -154,15 +144,12 @@ def worker_main(conn, heartbeat, state, cache_dir: str | None,
     def on_pass_event(ev) -> None:
         # stage publishing + fault firing happen at pass entry, before
         # the containment boundary — a ProcessFault raised here is a
-        # BaseException and escapes the registry's swallow, exactly
-        # like the old PASS_OBSERVER hook
+        # BaseException and escapes the registry's swallow
         if ev.kind == "enter":
             observe(ev.name)
 
-    # subscribe (not assign): the old ``PASS_OBSERVER = observe`` swap
-    # could leak this worker's observer into later pipeline users if an
-    # exit path skipped the reset; the registry subscription below is
-    # unwound on *every* exit path by the finally
+    # the subscription is unwound on *every* exit path by the finally,
+    # so this worker's observer never leaks into later pipeline users
     PASS_EVENTS.subscribe(on_pass_event)
     set_stage(state, "idle")
 

@@ -120,6 +120,20 @@ class TestPrefetcher:
             h.access(0x1000 + i * 128, site=7)
         assert h.prefetches > 0
 
+    def test_prefetch_uses_last_level_line_size(self):
+        cfg = CacheConfig(levels=(
+            CacheLevelConfig("L1D", 256, 2, 64, 1),
+            CacheLevelConfig("L2", 1024, 4, 64, 6),
+        ), memory_latency=100, prefetch=True)
+        h = CacheHierarchy(cfg)
+        n = 8
+        for i in range(n):
+            h.access(0x1000 + i * 64, site=7)
+        # the first two accesses establish the stride; every later one
+        # prefetches the next 64-byte line, which its successor hits
+        assert h.prefetches == n - 2
+        assert h.level("L1D").hits == n - 3
+
     def test_no_prefetch_without_stable_stride(self):
         h = CacheHierarchy(tiny_config(prefetch=True))
         for addr in (0x1000, 0x5000, 0x2000, 0x9000):

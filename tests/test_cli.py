@@ -97,6 +97,23 @@ class TestTransform:
     def test_ts_flag_changes_split(self, demo_file, capsys):
         assert main(["transform", "--ts", "0.0001", demo_file]) == 0
 
+    @pytest.mark.parametrize("flag,value", [("--ts", "30"),
+                                            ("--peel-mode", "hot-cold")])
+    def test_greedy_knob_flags_run_no_search(self, demo_file, capsys,
+                                             monkeypatch, recwarn,
+                                             flag, value):
+        from repro.core import pipeline
+        searched = []
+        monkeypatch.setattr(pipeline, "capture_trace",
+                            lambda *a, **k: searched.append(a))
+        monkeypatch.setattr(pipeline, "search_type",
+                            lambda *a, **k: searched.append(a))
+        assert main(["transform", flag, value, demo_file]) == 0
+        assert "struct item" in capsys.readouterr().out
+        assert searched == []
+        assert not [w for w in recwarn
+                    if issubclass(w.category, DeprecationWarning)]
+
 
 class TestCompare:
     def test_reports_effect(self, demo_file, capsys):

@@ -19,7 +19,8 @@ import threading
 
 import pytest
 
-from repro.core import Compiler, CompilerOptions, compile_program
+from repro.api import Session
+from repro.core import Compiler, CompilerOptions
 from repro.core import fe
 from repro.core.dag import (
     DagError, DagScheduler, PassDAG, effective_cores,
@@ -338,6 +339,6 @@ class TestPipelineIntegration:
                    for d in res.diagnostics.contained())
 
     def test_program_path_uses_dag_too(self):
-        res = compile_program(Program.from_source(SRC))
+        res = Session().compile(Program.from_source(SRC))
         assert res.scheduler["nodes"] >= 8
         assert res.scheduler["mode"] == "serial"

@@ -10,7 +10,8 @@ output divergence.
 
 from hypothesis import given, settings, strategies as st, HealthCheck
 
-from repro.core import CompilerOptions, compile_program
+from repro.api import Session
+from repro.core import CompilerOptions
 from repro.frontend import Program
 from repro.runtime import run_program
 from repro.transform import HeuristicParams
@@ -80,7 +81,7 @@ _SETTINGS = settings(max_examples=25, deadline=None,
 @given(struct_programs())
 def test_pipeline_preserves_output(src):
     program = Program.from_source(src)
-    result = compile_program(program)
+    result = Session().compile(program)
     before = run_program(result.program)
     after = run_program(result.transformed)
     assert before.stdout == after.stdout
@@ -92,9 +93,8 @@ def test_pipeline_preserves_output(src):
                                            "affinity"]))
 def test_all_peel_modes_preserve_output(src, mode):
     program = Program.from_source(src)
-    result = compile_program(
-        program,
-        CompilerOptions(params=HeuristicParams(peel_mode=mode)))
+    result = Session(CompilerOptions(
+        params=HeuristicParams(peel_mode=mode))).compile(program)
     before = run_program(result.program)
     after = run_program(result.transformed)
     assert before.stdout == after.stdout
@@ -104,7 +104,7 @@ def test_all_peel_modes_preserve_output(src, mode):
 @given(struct_programs())
 def test_spbo_scheme_preserves_output(src):
     program = Program.from_source(src)
-    result = compile_program(program, CompilerOptions(scheme="SPBO"))
+    result = Session(CompilerOptions(scheme="SPBO")).compile(program)
     before = run_program(result.program)
     after = run_program(result.transformed)
     assert before.stdout == after.stdout

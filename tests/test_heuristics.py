@@ -3,19 +3,20 @@ model."""
 
 import pytest
 
+from repro.api import Session
 from repro.frontend import Program
 from repro.transform.heuristics import (
     HeuristicParams, TransformDecision, decide_transforms,
     apply_decisions, peel_groups, split_threshold, grouping_cost,
     candidate_groupings, piece_size,
 )
-from repro.core.pipeline import compile_program, CompilerOptions
+from repro.core.pipeline import CompilerOptions
 from repro.runtime import run_program
 
 
 def compiled(src, **opt_kw):
-    return compile_program(Program.from_source(src),
-                           CompilerOptions(**opt_kw) if opt_kw else None)
+    return Session(CompilerOptions(**opt_kw) if opt_kw else None).compile(
+        Program.from_source(src))
 
 
 HOT_COLD = """

@@ -1,6 +1,7 @@
 """Multi-threaded layout advice tests (the §2.4 future-work heuristics)."""
 
-from repro.core import CompilerOptions, compile_source
+from repro.api import Session
+from repro.core import CompilerOptions
 from repro.advisor import (
     advise_multithreaded, mt_report, rw_class, MTParams,
     false_sharing_candidates,
@@ -34,7 +35,7 @@ int main() {
 
 
 def profile():
-    res = compile_source(SRC, CompilerOptions(transform=False))
+    res = Session(CompilerOptions(transform=False)).compile_source(SRC)
     return res.profiles["shared"]
 
 
@@ -48,10 +49,9 @@ class TestClassification:
         assert rw_class(prof, "counter_x", params) == "write-heavy"
 
     def test_unused_field(self):
-        res = compile_source(
+        res = Session(CompilerOptions(transform=False)).compile_source(
             "struct t { long a; long never; }; struct t g;"
-            "int main() { g.a = 1; return (int) g.a; }",
-            CompilerOptions(transform=False))
+            "int main() { g.a = 1; return (int) g.a; }")
         assert rw_class(res.profiles["t"], "never", MTParams()) == \
             "unused"
 
@@ -71,7 +71,7 @@ class TestFalseSharing:
             "st[i].counter_x = st[i].counter_x + (st[i].cfg_a & 1);",
             "st[i].counter_x = st[i].counter_x + 1;"
             " st[i].counter_y = st[i].counter_y + 1;")
-        res = compile_source(src, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(src)
         prof = res.profiles["shared"]
         candidates = false_sharing_candidates(prof, MTParams())
         pairs = {frozenset((c.field_a, c.field_b)) for c in candidates}

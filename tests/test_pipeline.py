@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import Session
 from repro.core import (
-    Compiler, CompilerOptions, compile_source, compile_program, SCHEMES,
+    Compiler, CompilerOptions, SCHEMES,
 )
 from repro.frontend import Program
 from repro.runtime import run_program
@@ -38,7 +39,7 @@ int main() {
 
 class TestPipeline:
     def test_compile_source_end_to_end(self):
-        res = compile_source(SRC)
+        res = Session().compile_source(SRC)
         assert res.legality.counts()[0] == 1
         assert res.transformed is not res.program
         assert run_program(res.program).stdout == \
@@ -46,7 +47,7 @@ class TestPipeline:
 
     def test_all_static_schemes_run(self):
         for scheme in ("SPBO", "ISPBO", "ISPBO.NO", "ISPBO.W"):
-            res = compile_source(SRC, CompilerOptions(scheme=scheme))
+            res = Session(CompilerOptions(scheme=scheme)).compile_source(SRC)
             assert res.weights.scheme == scheme
 
     def test_pbo_requires_feedback(self):
@@ -60,30 +61,30 @@ class TestPipeline:
     def test_pbo_scheme_end_to_end(self):
         p = Program.from_source(SRC)
         fb = collect_feedback(Program.from_source(SRC))
-        res = compile_program(p, CompilerOptions(scheme="PBO",
-                                                 feedback=fb))
+        res = Session(CompilerOptions(scheme="PBO",
+                                      feedback=fb)).compile(p)
         assert res.weights.scheme == "PBO"
         assert run_program(res.program).stdout == \
             run_program(res.transformed).stdout
 
     def test_transform_false_keeps_program(self):
-        res = compile_source(SRC, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(SRC)
         assert res.transformed is res.program
 
     def test_timings_recorded(self):
-        res = compile_source(SRC)
+        res = Session().compile_source(SRC)
         assert set(res.timings) == {"fe", "ipa", "be"}
         assert all(t >= 0 for t in res.timings.values())
 
     def test_table_rows(self):
-        res = compile_source(SRC)
+        res = Session().compile_source(SRC)
         types, legal, relaxed = res.table1_row()
         assert (types, legal) == (1, 1)
         t, tt, sd = res.table3_row()
         assert t == 1 and tt == 1 and sd >= 2
 
     def test_decision_lookup(self):
-        res = compile_source(SRC)
+        res = Session().compile_source(SRC)
         assert res.decision_for("item") is not None
         assert res.decision_for("missing") is None
 
@@ -99,7 +100,7 @@ class TestPipeline:
 
 class TestAdvisorReport:
     def test_report_contains_figure2_elements(self):
-        res = compile_source(SRC, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(SRC)
         text = advisor_report(res)
         assert "Type     : item" in text
         assert "Fields   : 4" in text
@@ -111,7 +112,7 @@ class TestAdvisorReport:
 
     def test_report_with_dcache_samples(self):
         fb = collect_feedback(Program.from_source(SRC), pmu_period=4)
-        res = compile_source(SRC, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(SRC)
         text = advisor_report(res, feedback=fb)
         assert "miss :" in text
         assert "[cyc]" in text
@@ -123,7 +124,7 @@ class TestAdvisorReport:
             .replace("items[i].spare1 = 0;\n", "") \
             .replace("items[i].spare1 = 0;", "") \
             .replace("items[i].spare2 = 0;", "")
-        res = compile_source(src, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(src)
         text = advisor_report(res)
         assert "*unused*" in text
 
@@ -136,13 +137,13 @@ class TestAdvisorReport:
                      "ct = (struct coldtype*) malloc("
                      "4 * sizeof(struct coldtype));"
                      "ct[0].z = 1; return 0;\n}")
-        res = compile_source(src, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(src)
         text = advisor_report(res)
         assert text.index("Type     : item") < \
             text.index("Type     : coldtype")
 
     def test_max_types_option(self):
-        res = compile_source(SRC, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(SRC)
         text = advisor_report(res, options=AdvisorOptions(max_types=0))
         assert "Type     :" not in text
 
@@ -159,7 +160,7 @@ class TestAdvisorReport:
 
 class TestVCG:
     def test_vcg_structure(self):
-        res = compile_source(SRC, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(SRC)
         text = affinity_vcg(res.profiles["item"])
         assert text.startswith("graph: {")
         assert 'node: { title: "key"' in text
@@ -167,7 +168,7 @@ class TestVCG:
         assert text.rstrip().endswith("}")
 
     def test_program_vcg_concatenates(self):
-        res = compile_source(SRC, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(SRC)
         text = program_vcg(res.profiles)
         assert text.count("graph: {") == 1
 
@@ -192,21 +193,21 @@ class TestClassifier:
     """
 
     def test_clusters_split_by_phase(self):
-        res = compile_source(self.TWO_PHASE,
-                             CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(
+            self.TWO_PHASE)
         clusters = affinity_clusters(res.profiles["rec"])
         assert ["pa1", "pa2"] in clusters
         assert ["pb1", "pb2"] in clusters
 
     def test_source_split_advice_for_hot_disjoint_groups(self):
-        res = compile_source(self.TWO_PHASE,
-                             CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(
+            self.TWO_PHASE)
         advice = classify_type(res.profiles["rec"])
         kinds = {a.kind for a in advice}
         assert "source-split" in kinds
 
     def test_cold_group_advice(self):
-        res = compile_source(SRC, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(SRC)
         advice = classify_type(res.profiles["item"])
         assert any(a.kind == "split-out" for a in advice)
 
@@ -215,7 +216,7 @@ class TestClassifier:
             "for (i = 0; i < 60; i++) s += g[i].pb1 * g[i].pb2;",
             "for (i = 0; i < 60; i++) "
             "s += g[i].pb1 * g[i].pb2 + g[i].pa1;")
-        res = compile_source(src, CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(src)
         # pa and pb groups share a hot edge now: with a high clustering
         # threshold they stay separate but register high mutual affinity
         advice = classify_type(
@@ -226,8 +227,8 @@ class TestClassifier:
         assert "group" in kinds
 
     def test_report_text(self):
-        res = compile_source(self.TWO_PHASE,
-                             CompilerOptions(transform=False))
+        res = Session(CompilerOptions(transform=False)).compile_source(
+            self.TWO_PHASE)
         text = classify_report(res.profiles["rec"])
         assert text.startswith("Advice for struct rec:")
         assert "[source-split]" in text

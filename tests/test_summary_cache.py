@@ -12,9 +12,10 @@ import pickle
 
 import pytest
 
+from repro.api import Session
 from repro.core import (
-    CODE_BUDGET, CODE_CACHE, Compiler, CompilerOptions, compile_sources,
-    inject_cache_fault, inject_fault,
+    CODE_BUDGET, CODE_CACHE, Compiler, CompilerOptions, inject_cache_fault,
+    inject_fault,
 )
 from repro.core.summarycache import (
     ENTRY_MAGIC, QUARANTINE_DIR, QUARANTINE_MAX, SummaryCache,
@@ -71,8 +72,8 @@ def cache_notes(result):
 # ---------------------------------------------------------------------------
 
 def test_warm_recompile_hits_whole_fe(cache_dir):
-    cold = compile_sources(SOURCES, opts(cache_dir))
-    warm = compile_sources(SOURCES, opts(cache_dir))
+    cold = Session(opts(cache_dir)).compile_sources(SOURCES)
+    warm = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert fingerprint(warm) == fingerprint(cold)
     assert any("restored from summary cache" in d.message
                for d in cache_notes(warm))
@@ -81,18 +82,19 @@ def test_warm_recompile_hits_whole_fe(cache_dir):
 
 
 def test_edited_unit_misses_only_that_unit(cache_dir):
-    compile_sources(SOURCES, opts(cache_dir))
+    Session(opts(cache_dir)).compile_sources(SOURCES)
     edited = [(n, t.replace("s + p->key", "s + p->key + 0", 1)
                if n == "u2.c" else t) for n, t in SOURCES]
-    result = compile_sources(edited, opts(cache_dir))
+    result = Session(opts(cache_dir)).compile_sources(edited)
     # whole-FE entry missed, but u1.c and u3.c parses were reused
     assert result.fe_report is not None
     assert result.fe_report.parse_cache_hits == 2
 
 
 def test_changed_options_miss_everything(cache_dir):
-    compile_sources(SOURCES, opts(cache_dir))
-    result = compile_sources(SOURCES, opts(cache_dir, scheme="SPBO"))
+    Session(opts(cache_dir)).compile_sources(SOURCES)
+    result = Session(opts(cache_dir, scheme="SPBO")
+                     ).compile_sources(SOURCES)
     assert result.fe_report is not None
     assert result.fe_report.parse_cache_hits == 0
     summary = [d for d in cache_notes(result)
@@ -127,22 +129,22 @@ def _damage_entries(cache_dir, mutate):
     lambda p: p.write_bytes(pickle.dumps([1, 2, 3])),     # wrong type
 ], ids=["truncated", "garbage", "empty", "wrong-type"])
 def test_corrupt_entries_recompute_with_diagnostic(cache_dir, mutate):
-    cold = compile_sources(SOURCES, opts(cache_dir))
+    cold = Session(opts(cache_dir)).compile_sources(SOURCES)
     _damage_entries(cache_dir, mutate)
-    result = compile_sources(SOURCES, opts(cache_dir))
+    result = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert fingerprint(result) == fingerprint(cold)
     assert not result.diagnostics.has_errors
     # recompute must also have repaired the cache: next compile is warm
-    warm = compile_sources(SOURCES, opts(cache_dir))
+    warm = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert any("restored from summary cache" in d.message
                for d in cache_notes(warm))
     assert fingerprint(warm) == fingerprint(cold)
 
 
 def test_corrupt_entry_emits_cache_warning(cache_dir):
-    compile_sources(SOURCES, opts(cache_dir))
+    Session(opts(cache_dir)).compile_sources(SOURCES)
     _damage_entries(cache_dir, lambda p: p.write_bytes(b"\x80broken"))
-    result = compile_sources(SOURCES, opts(cache_dir))
+    result = Session(opts(cache_dir)).compile_sources(SOURCES)
     warnings = [d for d in result.diagnostics.warnings()
                 if d.code == CODE_CACHE]
     assert warnings and "recomputed" in warnings[0].message
@@ -151,10 +153,10 @@ def test_corrupt_entry_emits_cache_warning(cache_dir):
 def test_unwritable_cache_dir_degrades_to_note(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file where the cache dir should be")
-    result = compile_sources(SOURCES, opts(blocker))
+    result = Session(opts(blocker)).compile_sources(SOURCES)
     assert not result.diagnostics.has_errors
     assert fingerprint(result) == fingerprint(
-        compile_sources(SOURCES, CompilerOptions()))
+        Session().compile_sources(SOURCES))
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +164,22 @@ def test_unwritable_cache_dir_degrades_to_note(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_injected_faults_bypass_the_cache(cache_dir):
-    compile_sources(SOURCES, opts(cache_dir))          # populate
+    Session(opts(cache_dir)).compile_sources(SOURCES)   # populate
     with inject_fault("legality[u1.c]"):
-        faulty = compile_sources(SOURCES, opts(cache_dir))
+        faulty = Session(opts(cache_dir)).compile_sources(SOURCES)
     contained = faulty.diagnostics.contained()
     assert any(d.phase == "legality[u1.c]" for d in contained)
     assert "FAULT" in faulty.legality.types["item"].invalid_reasons
     assert faulty.degraded
     # the clean cache was neither consulted nor poisoned
-    clean = compile_sources(SOURCES, opts(cache_dir))
+    clean = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert not clean.diagnostics.contained()
     assert "FAULT" not in clean.legality.types["item"].invalid_reasons
 
 
 def test_per_unit_fault_demotes_only_through_containment():
     with inject_fault("deadfields[u2.c]"):
-        result = compile_sources(SOURCES, CompilerOptions())
+        result = Session().compile_sources(SOURCES)
     assert any(d.phase == "deadfields[u2.c]"
                for d in result.diagnostics.contained())
     # conservative merge: the faulted unit claims every field live
@@ -186,8 +188,8 @@ def test_per_unit_fault_demotes_only_through_containment():
 
 
 def test_tiny_phase_budget_surfaces_per_unit_overruns():
-    result = compile_sources(
-        SOURCES, CompilerOptions(phase_budget=1e-9))
+    result = Session(CompilerOptions(phase_budget=1e-9)
+                     ).compile_sources(SOURCES)
     overruns = result.diagnostics.by_code(CODE_BUDGET)
     assert overruns, "expected budget diagnostics"
     assert not result.diagnostics.has_errors
@@ -196,7 +198,7 @@ def test_tiny_phase_budget_surfaces_per_unit_overruns():
 
 def test_contained_compiles_are_not_cached(cache_dir):
     with inject_fault("legality[u1.c]"):
-        compile_sources(SOURCES, opts(cache_dir))
+        Session(opts(cache_dir)).compile_sources(SOURCES)
     # fault armed -> cache bypassed entirely: nothing was written
     assert not list(pathlib.Path(cache_dir).rglob("*.pkl")) \
         or not (pathlib.Path(cache_dir) / "fe").exists()
@@ -207,9 +209,9 @@ def test_contained_compiles_are_not_cached(cache_dir):
 # ---------------------------------------------------------------------------
 
 def test_enospc_on_store_compiles_uncached_with_note(cache_dir):
-    baseline = compile_sources(SOURCES, CompilerOptions())
+    baseline = Session().compile_sources(SOURCES)
     with inject_cache_fault("enospc", op="store"):
-        result = compile_sources(SOURCES, opts(cache_dir))
+        result = Session(opts(cache_dir)).compile_sources(SOURCES)
     # the compile itself is untouched by the full disk
     assert not result.diagnostics.has_errors
     assert fingerprint(result) == fingerprint(baseline)
@@ -218,28 +220,28 @@ def test_enospc_on_store_compiles_uncached_with_note(cache_dir):
                 if "cache I/O problem" in d.message]
     assert io_notes
     # nothing landed on disk: the next compile is cold, not corrupt
-    cold = compile_sources(SOURCES, opts(cache_dir))
+    cold = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert cold.fe_report is not None
     assert fingerprint(cold) == fingerprint(baseline)
 
 
 def test_eio_on_load_is_a_miss_not_a_crash(cache_dir):
-    cold = compile_sources(SOURCES, opts(cache_dir))    # populate
+    cold = Session(opts(cache_dir)).compile_sources(SOURCES)  # populate
     with inject_cache_fault("eio", op="load"):
-        result = compile_sources(SOURCES, opts(cache_dir))
+        result = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert not result.diagnostics.has_errors
     assert fingerprint(result) == fingerprint(cold)
     assert any("cache I/O problem" in d.message
                for d in cache_notes(result))
     # the fault was transient: entries are intact, next compile warm
-    warm = compile_sources(SOURCES, opts(cache_dir))
+    warm = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert any("restored from summary cache" in d.message
                for d in cache_notes(warm))
 
 
 def test_transient_enospc_disarms_after_n_fires(cache_dir):
     with inject_cache_fault("enospc", op="store", times=1):
-        result = compile_sources(SOURCES, opts(cache_dir))
+        result = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert not result.diagnostics.has_errors
     # only the first store failed; later entries were written, so
     # *some* cache state exists for the next compile
@@ -251,7 +253,7 @@ def test_transient_enospc_disarms_after_n_fires(cache_dir):
 # ---------------------------------------------------------------------------
 
 def test_entries_on_disk_are_checksum_framed(cache_dir):
-    compile_sources(SOURCES, opts(cache_dir))
+    Session(opts(cache_dir)).compile_sources(SOURCES)
     paths = sorted(pathlib.Path(cache_dir).rglob("*.pkl"))
     assert paths
     for p in paths:
@@ -262,7 +264,7 @@ def test_entries_on_disk_are_checksum_framed(cache_dir):
 
 
 def test_bitflip_fails_checksum_and_quarantines(cache_dir):
-    cold = compile_sources(SOURCES, opts(cache_dir))
+    cold = Session(opts(cache_dir)).compile_sources(SOURCES)
 
     def flip_last_byte(p):
         raw = bytearray(p.read_bytes())
@@ -270,7 +272,7 @@ def test_bitflip_fails_checksum_and_quarantines(cache_dir):
         p.write_bytes(bytes(raw))
 
     damaged = _damage_entries(cache_dir, flip_last_byte)
-    result = compile_sources(SOURCES, opts(cache_dir))
+    result = Session(opts(cache_dir)).compile_sources(SOURCES)
     assert fingerprint(result) == fingerprint(cold)
     assert any("recomputed" in d.message
                for d in result.diagnostics.warnings()
@@ -309,7 +311,7 @@ def test_quarantine_is_bounded(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_fsck_clean_cache_reports_no_corruption(cache_dir):
-    compile_sources(SOURCES, opts(cache_dir))
+    Session(opts(cache_dir)).compile_sources(SOURCES)
     report = fsck_cache(cache_dir)
     assert report.scanned > 0
     assert report.corrupt == 0
@@ -321,7 +323,7 @@ def test_fsck_clean_cache_reports_no_corruption(cache_dir):
 
 
 def test_fsck_quarantines_corrupt_entries(cache_dir):
-    compile_sources(SOURCES, opts(cache_dir))
+    Session(opts(cache_dir)).compile_sources(SOURCES)
     victim = sorted(pathlib.Path(cache_dir).rglob("*.pkl"))[0]
     victim.write_bytes(frame_blob(b"payload")[:-2])     # bad digest
     report = fsck_cache(cache_dir)
@@ -334,7 +336,7 @@ def test_fsck_quarantines_corrupt_entries(cache_dir):
 
 
 def test_fsck_report_only_mode_leaves_entries_in_place(cache_dir):
-    compile_sources(SOURCES, opts(cache_dir))
+    Session(opts(cache_dir)).compile_sources(SOURCES)
     victim = sorted(pathlib.Path(cache_dir).rglob("*.pkl"))[0]
     victim.write_bytes(b"")
     report = fsck_cache(cache_dir, quarantine=False)
