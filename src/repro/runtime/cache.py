@@ -15,7 +15,8 @@ ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,86 @@ class CacheLevel:
         self.hits = self.misses = self.write_misses = 0
 
 
+def emit_walk(w, cfg: CacheConfig, is_float: bool, addr: str,
+              indent: str, counters: bool) -> None:
+    """Emit the unrolled set-associative LRU walk of one access.
+
+    This is the only generated copy of the walk; :meth:`CacheLevel.access`
+    is its plain reference.  Each level on the int or FP path becomes
+    straight-line code with constant shifts and masks, misses falling
+    through to the next level as a nested ``else`` chain, and the
+    access's latency is added to ``lat`` once, at whichever exit it
+    takes.  The emitted code reads the level ``i`` sets as ``s{i}``;
+    with ``counters`` it also bumps ``L{i}.hits`` / ``misses`` /
+    ``write_misses``, which needs ``is_write`` in scope.
+    """
+    path = [(i, lc) for i, lc in enumerate(cfg.levels)
+            if not (is_float and lc.fp_bypass)]
+    cum = 0
+    for depth, (i, lc) in enumerate(path):
+        ind = indent + "    " * depth
+        cum += lc.latency
+        ns = lc.num_sets
+        index = f"line & {ns - 1}" if ns & (ns - 1) == 0 \
+            else f"line % {ns}"
+        w(f"{ind}line = {addr} >> {lc.line_size.bit_length() - 1}")
+        w(f"{ind}s = s{i}[{index}]")
+        w(f"{ind}if line in s:")
+        if counters:
+            w(f"{ind}    L{i}.hits += 1")
+        w(f"{ind}    if s[-1] != line:")
+        w(f"{ind}        s.remove(line)")
+        w(f"{ind}        s.append(line)")
+        w(f"{ind}    lat += {cum}")
+        w(f"{ind}else:")
+        if counters:
+            w(f"{ind}    L{i}.misses += 1")
+            w(f"{ind}    if is_write:")
+            w(f"{ind}        L{i}.write_misses += 1")
+        w(f"{ind}    s.append(line)")
+        w(f"{ind}    if len(s) > {lc.ways}:")
+        w(f"{ind}        s.pop(0)")
+    w(f"{indent}{'    ' * len(path)}lat += {cum + cfg.memory_latency}")
+
+
+@functools.cache
+def _access_factory(cfg: CacheConfig):
+    """Compile (once per config) a factory binding :func:`emit_walk`'s
+    counting variant to one hierarchy's state."""
+    args = "".join(f", L{i}, s{i}" for i in range(len(cfg.levels)))
+    src: list[str] = []
+    w = src.append
+    w(f"def make(h, prefetch{args}):")
+    w("    def access(addr, is_float=False, is_write=False, site=0):")
+    w("        h.accesses += 1")
+    w("        lat = 0")
+    w("        if is_float:")
+    w("            h.fp_accesses += 1")
+    emit_walk(w, cfg, True, "addr", " " * 12, counters=True)
+    w("        else:")
+    emit_walk(w, cfg, False, "addr", " " * 12, counters=True)
+    w("        h.total_latency += lat")
+    if cfg.prefetch:
+        w("        if site and not is_write:")
+        w("            prefetch(addr, site)")
+    w("        return lat")
+    w("    return access")
+    ns: dict = {}
+    exec("\n".join(src), ns)      # noqa: S102 — generated above
+    return ns["make"]
+
+
 class CacheHierarchy:
-    """The full hierarchy.  :meth:`access` returns ``(latency, level_idx)``
-    where ``level_idx`` is the level that serviced the access (``-1`` for
-    main memory), which is exactly what the PMU attributes to fields."""
+    """The full hierarchy.
+
+    ``access(addr, is_float=False, is_write=False, site=0)`` simulates
+    one demand access and returns its latency.  It is generated per
+    :class:`CacheConfig` (:func:`emit_walk`) and updates ``accesses``,
+    ``fp_accesses``, ``total_latency`` and every level's counters; the
+    PMU tells a first-level miss from that level's ``misses``."""
 
     __slots__ = ("config", "levels", "accesses", "fp_accesses",
-                 "total_latency", "_strides", "prefetches",
-                 "_path_int", "_path_fp", "_mem_latency", "_prefetch_on")
+                 "total_latency", "_strides", "prefetches", "access")
 
     def __init__(self, config: CacheConfig = ITANIUM2_SCALED):
         self.config = config
@@ -146,93 +219,11 @@ class CacheHierarchy:
         self.prefetches = 0
         # stride prefetcher state: site -> (last_addr, last_stride)
         self._strides: dict[int, tuple[int, int]] = {}
-        # Flattened per-level lookup paths for the hot loop: everything
-        # :meth:`access` needs, with the attribute chains pre-resolved.
-        # The ``sets`` list object is created once per level and never
-        # reassigned, so aliasing it here is safe; hit/miss counters stay
-        # on the CacheLevel so ``stats()``/``reset_stats()`` are unchanged.
-        self._mem_latency = config.memory_latency
-        self._prefetch_on = config.prefetch
-        self._path_int = tuple(
-            (i, l, l.line_bits, l.num_sets, l.sets, l.config.latency,
-             l.config.ways)
-            for i, l in enumerate(self.levels))
-        self._path_fp = tuple(
-            p for p in self._path_int if not p[1].config.fp_bypass)
-
-    def access(self, addr: int, is_float: bool = False,
-               is_write: bool = False, site: int = 0) -> tuple[int, int]:
-        self.accesses += 1
-        if is_float:
-            self.fp_accesses += 1
-            path = self._path_fp
-        else:
-            path = self._path_int
-        latency = 0
-        serviced = -1
-        for idx, level, line_bits, num_sets, lsets, lat, ways in path:
-            latency += lat
-            line = addr >> line_bits
-            s = lsets[line % num_sets]
-            if line in s:
-                level.hits += 1
-                if s[-1] != line:
-                    s.remove(line)
-                    s.append(line)
-                serviced = idx
-                break
-            level.misses += 1
-            if is_write:
-                level.write_misses += 1
-            s.append(line)
-            if len(s) > ways:
-                s.pop(0)
-        else:
-            latency += self._mem_latency
-        self.total_latency += latency
-
-        if self._prefetch_on and not is_write and site:
-            self._prefetch(addr, site)
-        return latency, serviced
-
-    def access_latency(self, addr: int, is_float: bool = False,
-                       is_write: bool = False, site: int = 0) -> int:
-        """Like :meth:`access` but returns only the latency.
-
-        The serviced-level index exists for PMU attribution; plain runs
-        have no PMU, and skipping the result tuple removes an allocation
-        from every simulated memory access.  Counter updates are
-        identical to :meth:`access`."""
-        self.accesses += 1
-        if is_float:
-            self.fp_accesses += 1
-            path = self._path_fp
-        else:
-            path = self._path_int
-        latency = 0
-        for idx, level, line_bits, num_sets, lsets, lat, ways in path:
-            latency += lat
-            line = addr >> line_bits
-            s = lsets[line % num_sets]
-            if line in s:
-                level.hits += 1
-                if s[-1] != line:
-                    s.remove(line)
-                    s.append(line)
-                break
-            level.misses += 1
-            if is_write:
-                level.write_misses += 1
-            s.append(line)
-            if len(s) > ways:
-                s.pop(0)
-        else:
-            latency += self._mem_latency
-        self.total_latency += latency
-
-        if self._prefetch_on and not is_write and site:
-            self._prefetch(addr, site)
-        return latency
+        # the ``sets`` lists are created once per level and never
+        # reassigned, so the generated walk may hold them directly
+        self.access = _access_factory(config)(
+            self, self._prefetch,
+            *(x for l in self.levels for x in (l, l.sets)))
 
     def _prefetch(self, addr: int, site: int) -> None:
         prev = self._strides.get(site)

@@ -88,8 +88,7 @@ class PMU:
         span = max(self.period, 2)
         return self.period - span // 2 + self._rng % (span + 1)
 
-    def on_access(self, site: int, latency: int, serviced_level: int,
-                  first_level: int) -> None:
+    def on_access(self, site: int, latency: int, missed: bool) -> None:
         self._countdown -= 1
         if self._countdown > 0:
             return
@@ -99,7 +98,7 @@ class PMU:
         if s is None:
             s = self.site_samples[site] = FieldSample()
         s.accesses += 1
-        if serviced_level != first_level:
+        if missed:
             s.misses += 1
         s.total_latency += latency
 
@@ -160,8 +159,8 @@ class EdgeProfiler:
         self.counts[(fn, src, dst)] += 1
         if self.touch_memory:
             m = self.machine
-            lat, _ = m.cache.access(addr, False, True, 0)
-            m.cycles += lat + 2   # load-add-store of the counter
+            # load-add-store of the counter
+            m.cycles += m.cache.access(addr, False, True, 0) + 2
 
 
 class Machine:
@@ -183,55 +182,58 @@ class Machine:
             EdgeProfiler(self) if instrument else None
         self.func_table: dict[int, object] = {}
         self._next_func_id = 1
-        #: index of the first cache level for int/FP accesses (for the
-        #: PMU's "missed its first level" attribution)
-        self._first_int_level = 0
-        self._first_fp_level = next(
-            (i for i, l in enumerate(self.cache.levels)
-             if not l.config.fp_bypass), 0)
-        if self.pmu is None:
-            self._bind_fast_paths()
+        self._bind_mem_paths()
 
-    def _bind_fast_paths(self) -> None:
-        """Shadow :meth:`mem_read`/:meth:`mem_write` with closures that
-        pre-resolve the cache and memory lookups.  Only installed when no
-        PMU is attached, which is every plain (uninstrumented) run — the
-        interpreter spends most of its time in these two functions."""
-        access = self.cache.access_latency
+    def _bind_mem_paths(self) -> None:
+        """Install ``mem_read(addr, is_float, site)`` and
+        ``mem_write(addr, value, is_float, site)`` as closures over the
+        cache and memory lookups — the interpreter spends most of its
+        time in these two functions.
+
+        With a PMU attached each access is also offered to it, flagged
+        as a miss when the first level on its path (L2 for FP, which
+        bypasses L1) counted one; prefetch installs never count, so the
+        flag is exact."""
+        access = self.cache.access
         cells = self.memory.cells
         cells_get = cells.get
+        if self.pmu is None:
+            def mem_read(addr: int, is_float: bool, site: int,
+                         m=self) -> int | float:
+                m.cycles += access(addr, is_float, False, site)
+                return cells_get(addr, 0)
 
-        def mem_read(addr: int, is_float: bool, site: int,
-                     m=self) -> int | float:
-            m.cycles += access(addr, is_float, False, site)
-            return cells_get(addr, 0)
+            def mem_write(addr: int, value: int | float, is_float: bool,
+                          site: int, m=self) -> None:
+                m.cycles += access(addr, is_float, True, site)
+                cells[addr] = value
+        else:
+            on_access = self.pmu.on_access
+            levels = self.cache.levels
+            first_int = levels[0]
+            first_fp = next(
+                (l for l in levels if not l.config.fp_bypass), first_int)
 
-        def mem_write(addr: int, value: int | float, is_float: bool,
-                      site: int, m=self) -> None:
-            m.cycles += access(addr, is_float, True, site)
-            cells[addr] = value
+            def mem_read(addr: int, is_float: bool, site: int,
+                         m=self) -> int | float:
+                first = first_fp if is_float else first_int
+                misses = first.misses
+                lat = access(addr, is_float, False, site)
+                m.cycles += lat
+                on_access(site, lat, first.misses != misses)
+                return cells_get(addr, 0)
+
+            def mem_write(addr: int, value: int | float, is_float: bool,
+                          site: int, m=self) -> None:
+                first = first_fp if is_float else first_int
+                misses = first.misses
+                lat = access(addr, is_float, True, site)
+                m.cycles += lat
+                on_access(site, lat, first.misses != misses)
+                cells[addr] = value
 
         self.mem_read = mem_read
         self.mem_write = mem_write
-
-    # -- memory access (the interpreter hot path) -------------------------
-
-    def mem_read(self, addr: int, is_float: bool, site: int) -> int | float:
-        lat, lvl = self.cache.access(addr, is_float, False, site)
-        self.cycles += lat
-        if self.pmu is not None:
-            first = self._first_fp_level if is_float else self._first_int_level
-            self.pmu.on_access(site, lat, lvl, first)
-        return self.memory.cells.get(addr, 0)
-
-    def mem_write(self, addr: int, value: int | float, is_float: bool,
-                  site: int) -> None:
-        lat, lvl = self.cache.access(addr, is_float, True, site)
-        self.cycles += lat
-        if self.pmu is not None:
-            first = self._first_fp_level if is_float else self._first_int_level
-            self.pmu.on_access(site, lat, lvl, first)
-        self.memory.cells[addr] = value
 
     def check_budget(self) -> None:
         if self.cycles > self.cycle_limit:

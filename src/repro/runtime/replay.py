@@ -27,10 +27,12 @@ layout — is scored under identical rules.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass, field as dc_field
 
-from .cache import CacheConfig, CacheHierarchy, ITANIUM2_SCALED
+from .cache import CacheConfig, CacheHierarchy, ITANIUM2_SCALED, \
+    emit_walk
 from .codegen import CompiledProgram
 from .machine import Machine, StepLimitExceeded
 
@@ -97,13 +99,13 @@ def capture_trace(program, cache_config: CacheConfig = ITANIUM2_SCALED,
     """Run ``program`` once, recording every memory access.
 
     The recording hooks keep the plain fast path's cycle accounting
-    bit-for-bit (same :meth:`CacheHierarchy.access_latency` calls in
-    the same order), so ``trace.cycles`` equals a plain run's cycles.
+    bit-for-bit (same :meth:`CacheHierarchy.access` calls in the same
+    order), so ``trace.cycles`` equals a plain run's cycles.
     A run that exhausts ``cycle_limit`` yields a *truncated* trace:
     the prefix is still a valid stream for relative layout scoring.
     """
     machine = Machine(cache_config=cache_config, cycle_limit=cycle_limit)
-    access = machine.cache.access_latency
+    access = machine.cache.access
     cells = machine.memory.cells
     cells_get = cells.get
 
@@ -341,64 +343,21 @@ def plan_layout(compiled: CompiledTrace, groups, linked: bool,
                       piece_sizes=piece_sizes, has_links=has_links)
 
 
-#: compiled replay loops, keyed by (cache config, site-bit width)
-_REPLAYERS: dict = {}
-
-
-def _emit_probe(w, addr_var: str, levels, mem_latency: int,
-                indent: str) -> None:
-    """Emit the unrolled set-associative LRU walk for one access.
-
-    State transitions and latency accumulation replicate
-    :meth:`CacheHierarchy.access_latency` exactly (hit/miss counters
-    are skipped — replay needs only cycles); misses fall through to
-    the next level as a nested ``else`` chain."""
-    for depth, (lb, ns, sets_var, lat, ways) in enumerate(levels):
-        ind = indent + "    " * depth
-        w(f"{ind}lat += {lat}")
-        w(f"{ind}line = {addr_var} >> {lb}")
-        if ns & (ns - 1) == 0:
-            w(f"{ind}s = {sets_var}[line & {ns - 1}]")
-        else:
-            w(f"{ind}s = {sets_var}[line % {ns}]")
-        w(f"{ind}if line in s:")
-        w(f"{ind}    if s[-1] != line:")
-        w(f"{ind}        s.remove(line)")
-        w(f"{ind}        s.append(line)")
-        w(f"{ind}else:")
-        w(f"{ind}    s.append(line)")
-        w(f"{ind}    if len(s) > {ways}:")
-        w(f"{ind}        s.pop(0)")
-    w(f"{indent}{'    ' * len(levels)}lat += {mem_latency}")
-
-
+@functools.cache
 def _make_replayer(cfg: CacheConfig, site_bits: int):
     """Compile a replay loop specialized to one cache geometry.
 
-    The generic walk pays tuple unpacking and a level loop per access;
-    the generated function unrolls the hierarchy into straight-line
-    code with constant shifts/masks — the same pre-resolution idea as
-    :meth:`Machine._bind_fast_paths`, taken one step further.
+    The loop inlines :func:`emit_walk`'s counter-free variant — the
+    same unrolled walk as :meth:`CacheHierarchy.access`, minus the
+    hit/miss counters replay does not need — so a candidate costs no
+    call per access.
     """
-    key = (cfg, site_bits)
-    fn = _REPLAYERS.get(key)
-    if fn is not None:
-        return fn
     shift = 2 + site_bits
-    levels = []
-    for i, lc in enumerate(cfg.levels):
-        levels.append((lc.line_size.bit_length() - 1, lc.num_sets,
-                       f"s{i}", lc.latency, lc.ways, lc.fp_bypass))
-    path_int = [(lb, ns, sv, lt, w)
-                for lb, ns, sv, lt, w, _fb in levels]
-    path_fp = [(lb, ns, sv, lt, w)
-               for lb, ns, sv, lt, w, fb in levels if not fb]
-
     src: list[str] = []
     w = src.append
     w("def _replay(ops, addr_table, link_table):")
-    for _lb, ns, sv, _lt, _w, _fb in levels:
-        w(f"    {sv} = [[] for _ in range({ns})]")
+    for i, lc in enumerate(cfg.levels):
+        w(f"    s{i} = [[] for _ in range({lc.num_sets})]")
     w("    lat = 0")
     w("    for op in ops:")
     w("        if op >= 0:")
@@ -414,20 +373,16 @@ def _make_replayer(cfg: CacheConfig, site_bits: int):
     w("            if link:")
     # link-pointer load: an integer read of the hot element's
     # appended pointer field
-    _emit_probe(w, "link", path_int, cfg.memory_latency,
-                "                ")
+    emit_walk(w, cfg, False, "link", " " * 16, counters=False)
     w("            fl = op & 2")
     w("        if fl:")
-    _emit_probe(w, "addr", path_fp, cfg.memory_latency,
-                "            ")
+    emit_walk(w, cfg, True, "addr", " " * 12, counters=False)
     w("        else:")
-    _emit_probe(w, "addr", path_int, cfg.memory_latency,
-                "            ")
+    emit_walk(w, cfg, False, "addr", " " * 12, counters=False)
     w("    return lat")
     ns_dict: dict = {}
     exec("\n".join(src), ns_dict)      # noqa: S102 — generated above
-    fn = _REPLAYERS[key] = ns_dict["_replay"]
-    return fn
+    return ns_dict["_replay"]
 
 
 def replay_batch(compiled: CompiledTrace, plans,
@@ -463,7 +418,7 @@ def replay_reference(compiled: CompiledTrace, plan: LayoutPlan,
     the config enables the stride prefetcher (which needs site ids)."""
     cfg = cache_config or compiled.cache_config
     hier = CacheHierarchy(cfg)
-    access = hier.access_latency
+    access = hier.access
     ops = compiled.ops
     sbits = compiled.site_bits
     smask = (1 << sbits) - 1

@@ -1,5 +1,6 @@
 """Cache hierarchy simulator tests."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.runtime.cache import (
@@ -13,6 +14,10 @@ def tiny_config(prefetch=False):
         CacheLevelConfig("L1D", 256, 2, 64, 1, fp_bypass=True),
         CacheLevelConfig("L2", 1024, 4, 128, 6),
     ), memory_latency=100, prefetch=prefetch)
+
+
+def _hits_misses(h):
+    return [(l.hits, l.misses) for l in h.levels]
 
 
 class TestCacheLevel:
@@ -63,29 +68,31 @@ class TestCacheLevel:
 class TestHierarchy:
     def test_cold_miss_pays_memory_latency(self):
         h = CacheHierarchy(tiny_config())
-        lat, level = h.access(0x1000)
-        assert level == -1
+        lat = h.access(0x1000)
+        assert _hits_misses(h) == [(0, 1), (0, 1)]   # memory serviced
         assert lat == 1 + 6 + 100
 
     def test_l1_hit_is_cheap(self):
         h = CacheHierarchy(tiny_config())
         h.access(0x1000)
-        lat, level = h.access(0x1000)
-        assert level == 0 and lat == 1
+        lat = h.access(0x1000)
+        assert _hits_misses(h) == [(1, 1), (0, 1)]   # L1 serviced
+        assert lat == 1
 
     def test_fp_bypasses_l1(self):
         h = CacheHierarchy(tiny_config())
         h.access(0x1000, is_float=True)
-        lat, level = h.access(0x1000, is_float=True)
-        assert level == 1           # serviced by L2
+        lat = h.access(0x1000, is_float=True)
+        assert h.levels[1].hits == 1    # serviced by L2
         assert lat == 6             # no L1 latency component
         assert h.levels[0].accesses == 0
 
     def test_int_after_fp_misses_l1(self):
         h = CacheHierarchy(tiny_config())
         h.access(0x1000, is_float=True)
-        lat, level = h.access(0x1000, is_float=False)
-        assert level == 1           # L1 cold, L2 warm
+        lat = h.access(0x1000, is_float=False)
+        assert _hits_misses(h) == [(0, 1), (1, 1)]   # L1 cold, L2 warm
+        assert lat == 1 + 6
 
     def test_stats_shape(self):
         h = CacheHierarchy(tiny_config())
@@ -197,6 +204,65 @@ def test_latency_positive_and_bounded(addrs, is_float):
     h = CacheHierarchy(tiny_config())
     worst = 1 + 6 + 100
     for a in addrs:
-        lat, level = h.access(a, is_float=is_float)
+        hits = sum(l.hits for l in h.levels)
+        lat = h.access(a, is_float=is_float)
         assert 0 < lat <= worst
-        assert -1 <= level < len(h.levels)
+        # serviced by at most one level
+        assert sum(l.hits for l in h.levels) - hits <= 1
+
+
+def _reference_access(h):
+    """The hierarchy walk as a plain loop over :meth:`CacheLevel.access`,
+    on ``h``'s levels and prefetcher."""
+    cfg = h.config
+
+    def access(addr, is_float=False, is_write=False, site=0):
+        h.accesses += 1
+        h.fp_accesses += bool(is_float)
+        lat = 0
+        for level in h.levels:
+            if is_float and level.config.fp_bypass:
+                continue
+            lat += level.config.latency
+            if level.access(addr, is_write):
+                break
+        else:
+            lat += cfg.memory_latency
+        h.total_latency += lat
+        if cfg.prefetch and not is_write and site:
+            h._prefetch(addr, site)
+        return lat
+    return access
+
+
+def _state(h):
+    return (h.accesses, h.fp_accesses, h.total_latency, h.prefetches,
+            [(l.hits, l.misses, l.write_misses, l.sets) for l in h.levels])
+
+
+_one_access = st.tuples(st.integers(0, 1 << 18), st.booleans(),
+                        st.booleans(), st.integers(0, 3)).map(
+    lambda a: [a])
+#: strided runs from one site, which is what the prefetcher locks onto
+_strided_run = st.builds(
+    lambda base, stride, n, fp, site: [(base + k * stride, fp, False, site)
+                                       for k in range(n)],
+    st.integers(0, 1 << 16), st.sampled_from([-128, 8, 64, 128, 200]),
+    st.integers(2, 12), st.booleans(), st.integers(1, 3))
+_streams = st.lists(st.one_of(_one_access, _strided_run),
+                    max_size=40).map(lambda runs: sum(runs, []))
+
+
+# ITANIUM2_SCALED's L3 has 85 sets: the generated ``%`` index branch
+@pytest.mark.parametrize("cfg", [tiny_config(), tiny_config(prefetch=True),
+                                 ITANIUM2_SCALED],
+                         ids=["tiny", "tiny-prefetch", "itanium2-scaled"])
+@given(stream=_streams)
+def test_generated_walk_matches_reference(cfg, stream):
+    gen = CacheHierarchy(cfg)
+    ref = CacheHierarchy(cfg)
+    ref_access = _reference_access(ref)
+    for addr, is_float, is_write, site in stream:
+        assert gen.access(addr, is_float, is_write, site) == \
+            ref_access(addr, is_float, is_write, site)
+    assert _state(gen) == _state(ref)

@@ -5,7 +5,8 @@ equality."""
 import pytest
 
 from repro.frontend import Program
-from repro.runtime import run_program, StepLimitExceeded
+from repro.runtime import Machine, run_program, StepLimitExceeded
+from repro.runtime.codegen import _touch_lines
 from .conftest import wrap_main
 
 
@@ -446,3 +447,12 @@ class TestCycleAccounting:
                 "int i; long s = 0;"
                 "for (i = 0; i < 500; i++) s += tab[(i * 67) % 4096];")))
         assert mem.cycles > reg.cycles
+
+    def test_zero_length_stream_costs_nothing(self):
+        # a 0-byte memset/memcpy/fwrite on an unaligned pointer must not
+        # be charged the line it points into
+        m = Machine()
+        _touch_lines(m, 0x1001, 0, True)
+        assert (m.cache.accesses, m.cycles) == (0, 0)
+        _touch_lines(m, 0x1001, 1, True)
+        assert m.cache.accesses == 1

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import ApiError, CompileOptions, CompileRequest, \
     SearchOptions
@@ -67,18 +68,43 @@ class TestTraceCapture:
         assert len(mcf_trace) > 0
 
 
+@st.composite
+def _layouts(draw, fields):
+    """A random candidate layout: a dead subset, then the survivors in
+    a random order cut into groups, optionally linked."""
+    names = [f.name for f in fields]
+    dead = draw(st.sets(st.sampled_from(names), max_size=len(names) - 1))
+    live = draw(st.permutations([n for n in names if n not in dead]))
+    cuts = draw(st.lists(st.booleans(), min_size=len(live) - 1,
+                         max_size=len(live) - 1))
+    groups, group = [], [live[0]]
+    for name, cut in zip(live[1:], cuts):
+        if cut:
+            groups.append(tuple(group))
+            group = []
+        group.append(name)
+    groups.append(tuple(group))
+    return Layout(tuple(groups), linked=draw(st.booleans()),
+                  dead=tuple(sorted(dead)))
+
+
+@pytest.fixture(scope="module")
+def mcf_compiled(mcf_trace):
+    return {rec: precompile(mcf_trace, rec)
+            for rec in ("node", "arc", "basket", "stats")}
+
+
 class TestReplayParity:
-    def test_fast_path_matches_reference(self, mcf_trace):
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fast_path_matches_reference(self, mcf_compiled, data):
         # the exec-specialized replayer is an optimization of the
         # real CacheHierarchy walk — cycle-exact, layout by layout
-        compiled = precompile(mcf_trace, "node")
-        live = [f.name for f in compiled.fields]
-        layouts = [
-            Layout((tuple(live),)),
-            Layout((tuple(reversed(live)),)),
-            Layout((tuple(live[:3]), tuple(live[3:])), linked=True),
-            Layout((tuple(live[::2]), tuple(live[1::2]))),
-        ]
+        compiled = mcf_compiled[data.draw(
+            st.sampled_from(sorted(mcf_compiled)), label="record")]
+        layouts = data.draw(st.lists(_layouts(compiled.fields),
+                                     min_size=1, max_size=3),
+                            label="layouts")
         plans = [plan_layout(compiled, l.groups, l.linked, l.dead)
                  for l in layouts]
         fast = replay_batch(compiled, plans)

@@ -2,6 +2,9 @@
 transformations, and the three headline benchmarks move in the paper's
 direction.  Uses the small 'train' inputs to stay fast."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.api import Session
@@ -75,6 +78,21 @@ class TestSemanticPreservation:
         after = run_program(res.transformed)
         assert before.stdout == after.stdout
         assert before.exit_code == after.exit_code == 0
+
+
+#: each original program's stdout and simulated cycles, per input set
+EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "expected.json").read_text())
+
+
+class TestPinnedBehaviour:
+    @pytest.mark.parametrize(
+        "key", sorted(k for k in EXPECTED if k.endswith("/train")))
+    def test_train_run_matches_snapshot(self, key):
+        name, input_set = key.split("/")
+        r = run_program(get_workload(name).program(input_set))
+        assert (r.stdout, r.cycles) == \
+            (EXPECTED[key]["stdout"], EXPECTED[key]["cycles"])
 
 
 class TestHeadlineDirections:
