@@ -13,6 +13,10 @@ contract:
 3. The daemon survives the whole drill (it still answers ``ping`` and
    ``stats`` afterwards) and its crash directory holds a report for
    every kill.
+4. Worker respawns are charged to the request that caused them: every
+   request without an injected kill reports ``respawns == 0``, and the
+   replies' ``respawns`` add up to the daemon's
+   ``stats.supervisor.respawns``.
 
 Every phase runs under its own wall-clock timeout so a wedged daemon
 fails the job quickly instead of hitting the CI job timeout.
@@ -184,6 +188,14 @@ def main(argv=None) -> int:
                       f"({resp.get('attempts')} attempts)",
                       file=sys.stderr)
 
+        # 4a. no clean request is charged a concurrent kill's respawn
+        for i, resp in sorted(responses.items()):
+            if i >= args.kills and resp.get("respawns", 0) != 0:
+                ok = False
+                print(f"FAIL: request {i} carried no kill but reports "
+                      f"{resp.get('respawns')} respawn(s)",
+                      file=sys.stderr)
+
         # 3. the daemon survived and reports the carnage
         step = StepTimer("post-drill-health", args.step_timeout)
         ping = single_request(sock, {"op": "ping"}, timeout=30)
@@ -210,6 +222,13 @@ def main(argv=None) -> int:
             sample = json.loads(reports[0].read_text())
             print(f"  crash report sample: reason={sample['reason']} "
                   f"last_pass={sample['last_pass']}", flush=True)
+        # 4b. the replies account for every respawn the daemon made
+        charged = sum(r.get("respawns", 0)
+                      for r in [warm, *responses.values()])
+        if charged != sup.get("respawns"):
+            ok = False
+            print(f"FAIL: replies report {charged} respawn(s), the "
+                  f"supervisor {sup.get('respawns')}", file=sys.stderr)
         step.done()
 
         print("service smoke: " + ("OK" if ok else "FAILED"),

@@ -272,6 +272,24 @@ class SearchOptions:
         return cls.from_dict(d)
 
 
+def heuristic_params(ts: float | None, peel_mode: str | None,
+                     search: SearchOptions | None) -> HeuristicParams:
+    """Lower the greedy knobs onto :class:`HeuristicParams`.
+
+    Knobs riding on the search spec win over the top-level ones, which
+    set them without a search."""
+    params = HeuristicParams()
+    knobs = [(ts, peel_mode)]
+    if search is not None:
+        knobs.append((search.ts, search.peel_mode))
+    for knob_ts, knob_peel in knobs:
+        if knob_ts is not None:
+            params.ts_static = params.ts_profile = float(knob_ts)
+        if knob_peel:
+            params.peel_mode = knob_peel
+    return params
+
+
 @dataclass
 class CompileOptions:
     """The one user-facing options schema.
@@ -340,24 +358,10 @@ class CompileOptions:
                          cache_dir: str | None = None
                          ) -> CompilerOptions:
         """Lower onto core options for one degradation-ladder tier."""
-        params = HeuristicParams()
-        if self.ts is not None:
-            params.ts_static = float(self.ts)
-            params.ts_profile = float(self.ts)
-        if self.peel_mode:
-            params.peel_mode = self.peel_mode
-        if self.search is not None:
-            # greedy-floor knobs riding on the search spec win over
-            # the top-level fields, which set them without a search
-            if self.search.ts is not None:
-                params.ts_static = float(self.search.ts)
-                params.ts_profile = float(self.search.ts)
-            if self.search.peel_mode:
-                params.peel_mode = self.search.peel_mode
         full = tier == "full"
         return CompilerOptions(
             scheme=self.scheme,
-            params=params,
+            params=heuristic_params(self.ts, self.peel_mode, self.search),
             relax_legality=self.relax,
             transform=full,
             verify_transforms=full and self.verify,

@@ -38,7 +38,7 @@ from .advisor import (
 )
 from .api import (
     ApiError, CompileOptions, CompileReply, CompileRequest,
-    SearchOptions, Session,
+    SearchOptions, Session, heuristic_params,
 )
 from .core import (
     CODE_MISMATCH, CompilationResult, CompilerOptions,
@@ -48,7 +48,7 @@ from .frontend import Program
 from .obs import Tracer, write_trace
 from .profit import collect_feedback
 from .runtime import run_program
-from .transform import HeuristicParams, program_sources
+from .transform import program_sources
 
 EXIT_OK = 0
 EXIT_COMPILE = 1
@@ -138,19 +138,9 @@ def _search_options(args) -> SearchOptions | None:
 
 
 def _options(args) -> OptionBundle:
-    params = HeuristicParams()
-    if getattr(args, "ts", None) is not None:
-        params.ts_static = args.ts
-        params.ts_profile = args.ts
-    if getattr(args, "peel_mode", None):
-        params.peel_mode = args.peel_mode
     search = _search_options(args)
-    if search is not None:
-        if search.ts is not None:
-            params.ts_static = search.ts
-            params.ts_profile = search.ts
-        if search.peel_mode:
-            params.peel_mode = search.peel_mode
+    params = heuristic_params(getattr(args, "ts", None),
+                              getattr(args, "peel_mode", None), search)
     feedback = None
     scheme = getattr(args, "scheme", "ISPBO")
     if getattr(args, "profile", False):

@@ -232,14 +232,13 @@ class SummaryCache:
             self._event("io-error", category, key,
                         f"read failed: {type(exc).__name__}")
             return None
+        # a bad entry's miss is counted by _discard
         if not raw:
-            self.misses += 1
             self._event("corrupt", category, key, "empty file")
             self._discard(category, key)
             return None
         blob, kind = unframe_blob(raw)
         if kind == "corrupt":
-            self.misses += 1
             self._event("corrupt", category, key, "checksum mismatch")
             self._discard(category, key)
             return None
@@ -249,7 +248,8 @@ class SummaryCache:
 
     def _discard(self, category: str, key: str) -> None:
         """Quarantine a bad entry so it is recomputed cleanly next time
-        but stays inspectable (moved, not deleted; bounded count)."""
+        but stays inspectable (moved, not deleted; bounded count), and
+        count the load that found it as one miss."""
         with self.lock:
             self.misses += 1
         quarantine_entry(self.root, self._path(category, key),

@@ -4,8 +4,8 @@ Names are dotted strings (``fe.cache.hit``, ``pass.wall_ms``,
 ``service.retries``); an optional label set distinguishes series of
 the same name (``pass.wall_ms{pass=legality}``).  The registry is
 thread-safe and process-local — service workers each have their own;
-the supervisor's registry is the one ``repro client``'s ``stats`` op
-reports.
+a service process (daemon, router, or cache service) counts every
+event in one registry, and its ``stats`` reply is rendered from it.
 
 Kept deliberately small: a counter is a monotone float, a gauge a
 settable float, a histogram a running (count, sum, min, max) summary.
@@ -147,6 +147,26 @@ class MetricsRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._metrics)
+
+    def _counters(self, name: str, labels: dict[str, str]) -> list:
+        want = labels.items()
+        return [m for m in self if isinstance(m, Counter)
+                and m.name == name and want <= m.labels.items()]
+
+    def total(self, name: str, **labels: str) -> int:
+        """Sum of the ``name`` counters whose labels include
+        ``labels``; 0 when none has fired."""
+        return int(sum(m.value for m in self._counters(name, labels)))
+
+    def totals_by(self, name: str, label: str,
+                  **labels: str) -> dict[str, int]:
+        """Like :meth:`total`, split by the value of ``label``."""
+        out: dict[str, int] = {}
+        for m in self._counters(name, labels):
+            key = m.labels.get(label)
+            if key is not None:
+                out[key] = out.get(key, 0) + int(m.value)
+        return out
 
     def snapshot(self) -> dict:
         """All series as ``{rendered_name: value-or-summary}``."""

@@ -39,8 +39,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
+
+from ..obs import MetricsRegistry
 
 #: priority lanes within a tenant, served strictly in this order
 PRIORITY_HIGH = 0
@@ -406,20 +408,15 @@ class Decision:
         return self.verdict == ADMIT
 
 
-@dataclass
-class _TenantCounters:
-    admitted: int = 0
-    completed: int = 0
-    shed: int = 0                      # queue-full + displacement
-    rejected: int = 0                  # quota
-    hopeless: int = 0                  # budget < p50 on arrival
-    deadline_evicted: int = 0          # expired while queued
-
-    def to_dict(self) -> dict:
-        return {"admitted": self.admitted, "completed": self.completed,
-                "shed": self.shed, "rejected": self.rejected,
-                "hopeless": self.hopeless,
-                "deadline_evicted": self.deadline_evicted}
+#: the ``fairness`` block's per-tenant counts: key -> (series, labels)
+_TENANT_SERIES = {
+    "admitted": ("admission.admitted", {}),
+    "completed": ("admission.completed", {}),
+    "shed": ("admission.shed", {}),            # queue-full + displaced
+    "rejected": ("admission.rejected", {"reason": "quota"}),
+    "hopeless": ("admission.rejected", {"reason": "hopeless"}),
+    "deadline_evicted": ("admission.deadline_evicted", {}),
+}
 
 
 class AdmissionController:
@@ -428,7 +425,9 @@ class AdmissionController:
 
     One controller fronts one server's dispatcher pool.  The
     ``tenant_rate``/``tenant_burst`` quota is off by default
-    (``rate <= 0``); the fair queue is always on."""
+    (``rate <= 0``); the fair queue is always on.  Every verdict is
+    counted as a ``tenant``-labelled ``admission.*`` series in
+    ``metrics`` (the owning server's registry)."""
 
     def __init__(self, capacity: int, *, tenant_rate: float = 0.0,
                  tenant_burst: float = 8.0,
@@ -436,8 +435,11 @@ class AdmissionController:
                  drain_halflife: float = 10.0,
                  retry_after_min: float = 0.1,
                  retry_after_max: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic):
+                 clock: Callable[[], float] = time.monotonic,
+                 metrics: MetricsRegistry | None = None):
         self.queue = FairQueue(capacity, weights=weights, clock=clock)
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
         self.tenant_rate = tenant_rate
         self.tenant_burst = tenant_burst
         self.retry_after_min = retry_after_min
@@ -446,7 +448,6 @@ class AdmissionController:
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket] = {}
-        self._tenants: dict[str, _TenantCounters] = {}
         #: completions/second, EWMA with ``drain_halflife`` seconds
         self._drain_rate = 0.0
         self._drain_stamp = clock()
@@ -464,12 +465,8 @@ class AdmissionController:
                     clock=self._clock)
             return bucket
 
-    def _counters(self, tenant: str) -> _TenantCounters:
-        with self._lock:
-            tc = self._tenants.get(tenant)
-            if tc is None:
-                tc = self._tenants[tenant] = _TenantCounters()
-            return tc
+    def _count(self, name: str, tenant: str, **labels: str) -> None:
+        self.metrics.counter(name, tenant=tenant, **labels).inc()
 
     # -- the decision -------------------------------------------------------
 
@@ -483,20 +480,21 @@ class AdmissionController:
         the request is refused on arrival (*hopeless*) instead of
         burning a queue slot and a worker.  ``extra_occupancy`` is
         forwarded to :meth:`FairQueue.put` (in-dispatch slots)."""
-        tc = self._counters(item.tenant)
+        tenant = item.tenant
         if self.tenant_rate > 0 \
-                and not self._bucket(item.tenant).try_take():
-            tc.rejected += 1
+                and not self._bucket(tenant).try_take():
+            self._count("admission.rejected", tenant, reason="quota")
             return Decision(
                 REJECT_QUOTA,
                 retry_after=self._clamp(
-                    self._bucket(item.tenant).retry_after()),
-                detail=f"tenant {item.tenant!r} over its "
+                    self._bucket(tenant).retry_after()),
+                detail=f"tenant {tenant!r} over its "
                        f"{self.tenant_rate:g}/s quota")
         if budget_s is not None:
             p50 = self.service_times.p50(item.op)
             if budget_s <= 0 or (p50 is not None and budget_s < p50):
-                tc.hopeless += 1
+                self._count("admission.rejected", tenant,
+                            reason="hopeless")
                 return Decision(
                     REJECT_HOPELESS,
                     detail=f"remaining budget {max(budget_s, 0.0):.3f}s "
@@ -506,13 +504,14 @@ class AdmissionController:
         admitted, displaced = self.queue.put(
             item, extra_occupancy=extra_occupancy)
         if not admitted:
-            tc.shed += 1
+            self._count("admission.shed", tenant, reason="queue_full")
             return Decision(REJECT_QUEUE_FULL,
                             retry_after=self.queue_retry_after(),
                             detail="bounded fair queue full")
-        tc.admitted += 1
+        self._count("admission.admitted", tenant)
         if displaced is not None:
-            self._counters(displaced.tenant).shed += 1
+            self._count("admission.shed", displaced.tenant,
+                        reason="displaced")
         return Decision(ADMIT, displaced=displaced)
 
     def take(self, timeout: float | None = None) -> QueueItem | None:
@@ -521,16 +520,15 @@ class AdmissionController:
 
     def evict_expired(self, item: QueueItem) -> None:
         """Account one expired-in-queue eviction (caller answers it)."""
-        self._counters(item.tenant).deadline_evicted += 1
+        self._count("admission.deadline_evicted", item.tenant)
 
     def note_completed(self, item: QueueItem,
                        service_s: float | None = None) -> None:
         """Feed the drain-rate EWMA (and the p50 tracker) after a
         dispatched request finishes."""
-        tc = self._counters(item.tenant)
+        self._count("admission.completed", item.tenant)
         now = self._clock()
         with self._lock:
-            tc.completed += 1
             dt = max(now - self._drain_stamp, 1e-9)
             inst = 1.0 / dt
             blend = min(1.0, self._drain_alpha * dt)
@@ -569,15 +567,12 @@ class AdmissionController:
 
     def fairness(self) -> dict:
         """The ``fairness`` stats block."""
-        with self._lock:
-            tenants = {t: c.to_dict()
-                       for t, c in self._tenants.items()}
+        counts = {key: self.metrics.totals_by(name, "tenant", **labels)
+                  for key, (name, labels) in _TENANT_SERIES.items()}
         depths = self.queue.tenant_depths()
-        for t, d in depths.items():
-            tenants.setdefault(t, _TenantCounters().to_dict())
-            tenants[t]["queued"] = d
-        for t in tenants:
-            tenants[t].setdefault("queued", 0)
+        tenants = {t: {**{key: c.get(t, 0) for key, c in counts.items()},
+                       "queued": depths.get(t, 0)}
+                   for t in sorted(set(depths).union(*counts.values()))}
         oldest = self.queue.oldest_age_s()
         return {
             "queue_depth": self.queue.depth(),

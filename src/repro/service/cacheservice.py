@@ -15,8 +15,9 @@ the compile daemons:
   ``SummaryCache`` plus an **LRU index with a byte budget**.  A put
   that pushes the store past ``budget_bytes`` evicts least-recently
   *used* entries (gets refresh recency) until it fits.  Hits, misses,
-  evictions, and corruption quarantines are counted in an
-  :class:`~repro.obs.MetricsRegistry` the ``cache.stats`` op reports.
+  puts, evictions, and corruption quarantines are counted in the
+  service's :class:`~repro.obs.MetricsRegistry`; the ``cache`` stats
+  block is rendered from it.
 - :class:`RemoteCache` — the client: a drop-in ``SummaryCache``
   subclass whose blob I/O goes over the socket, so the pipeline, the
   workers, and every diagnostic path are unchanged whether the cache
@@ -86,15 +87,13 @@ class CacheStore:
                  metrics: MetricsRegistry | None = None):
         self.cache = SummaryCache(Path(root))
         self.budget_bytes = budget_bytes
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
         self._lock = threading.Lock()
         #: (category, key) -> stored size in bytes, LRU order
         #: (oldest first; a get moves its entry to the end)
         self._index: OrderedDict[tuple[str, str], int] = OrderedDict()
         self._bytes = 0
-        self.evictions = 0
-        self.corrupt = 0
-        self.puts = 0
         self._build_index()
 
     # -- index --------------------------------------------------------------
@@ -141,13 +140,11 @@ class CacheStore:
             # bounded over a long-lived service
             events = self.cache.drain_events()
             if blob is not None:
-                self.cache.hits += 1
                 self._touch(category, key)
                 self.metrics.counter("cache.hits",
                                      category=category).inc()
                 return blob, "hit"
             if any(e.kind == "corrupt" for e in events):
-                self.corrupt += 1
                 self._forget(category, key)
                 self.metrics.counter("cache.corrupt",
                                      category=category).inc()
@@ -162,7 +159,6 @@ class CacheStore:
             self.cache.drain_events()
             if not stored:
                 return False
-            self.puts += 1
             self._forget(category, key)      # replaced: re-account
             try:
                 size = self.cache._path(category, key).stat().st_size
@@ -201,49 +197,40 @@ class CacheStore:
                 self._index.move_to_end(victim)
                 continue
             self._drop_entry(*victim)
-            self.evictions += 1
             self.metrics.counter("cache.evictions").inc()
 
     def stats(self) -> dict:
+        """The ``cache`` stats block; a corrupt get is also a miss."""
+        total = self.metrics.total
         with self._lock:
-            return {
-                "root": str(self.cache.root),
-                "entries": len(self._index),
-                "bytes": self._bytes,
-                "budget_bytes": self.budget_bytes,
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "puts": self.puts,
-                "evictions": self.evictions,
-                "corrupt": self.corrupt,
-            }
+            entries, size = len(self._index), self._bytes
+        return {
+            "root": str(self.cache.root),
+            "entries": entries,
+            "bytes": size,
+            "budget_bytes": self.budget_bytes,
+            "hits": total("cache.hits"),
+            "misses": total("cache.misses") + total("cache.corrupt"),
+            "puts": total("cache.puts"),
+            "evictions": total("cache.evictions"),
+            "corrupt": total("cache.corrupt"),
+        }
 
 
 class CacheServer(LineServer):
     """The cache service's socket front door."""
 
     WORK_OPS = ("cache.get", "cache.put", "cache.drop")
+    STATS_OPS = ("stats", "cache.stats")
+    ROLE = "cache"
 
     def __init__(self, socket_path: str, store: CacheStore, **wire):
-        super().__init__(socket_path, **wire)
+        super().__init__(socket_path, metrics=store.metrics, **wire)
         self.store = store
 
     def handle_request(self, raw: dict) -> dict:
         req_id = raw.get("id")
         op = raw.get("op")
-        if op == "ping":
-            return {"id": req_id, "op": "ping", "status": "ok",
-                    "pong": True, "draining": self.draining,
-                    "role": "cache"}
-        if op == "shutdown":
-            return {"id": req_id, "op": "shutdown", "status": "ok"}
-        if op == "drain":
-            status = self.begin_drain()
-            return {"id": req_id, "op": "drain", "status": "ok",
-                    **status}
-        if op == "stats" or op == "cache.stats":
-            return {"id": req_id, "op": op, "status": "ok",
-                    "stats": self.stats()}
         if op not in CACHE_OPS:
             return error_response(
                 req_id, op or "(unknown)",
@@ -306,19 +293,9 @@ class CacheServer(LineServer):
                 detail={"where": "key"})
         return category, key
 
-    def stats(self) -> dict:
-        return {
-            "server": {
-                "role": "cache",
-                "in_flight": self.in_flight,
-                "draining": self.draining,
-                "uptime_s": self.uptime_s(),
-                "socket": self.socket_path,
-            },
-            "connections": self.connection_stats(),
-            "cache": self.store.stats(),
-            "metrics": self.store.metrics.snapshot(),
-        }
+    def stats_blocks(self) -> dict:
+        return {"cache": self.store.stats(),
+                "metrics": self.metrics.snapshot()}
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ __all__ = [
     "COMPILE_OPS", "CONTROL_OPS", "OPS", "LADDER", "TIERS",
     "STATUS_OK", "STATUS_DEGRADED", "STATUS_BUSY", "STATUS_ERROR",
     "STATUS_REJECTED", "STATUS_DEADLINE_EXCEEDED",
-    "ProtocolError", "Request", "encode", "decode", "response",
-    "busy_response", "error_response", "rejected_response",
+    "ProtocolError", "Request", "check_control", "encode", "decode",
+    "response", "busy_response", "error_response", "rejected_response",
     "deadline_response",
 ]
 
@@ -118,18 +118,8 @@ class Request:
                 f"unknown op {op!r}; expected one of {', '.join(OPS)}",
                 detail={"op": op, "known_ops": list(OPS)})
         if op in CONTROL_OPS:
-            unknown = sorted(set(d) - set(_CONTROL_FIELDS))
-            if unknown:
-                raise ProtocolError(
-                    f"unknown request field(s): {', '.join(unknown)}",
-                    detail={"unknown_fields": unknown,
-                            "known_fields": sorted(_CONTROL_FIELDS),
-                            "where": "request"})
-            trace_id = d.get("trace_id")
-            if trace_id is not None and not isinstance(trace_id, str):
-                raise ProtocolError("'trace_id' must be a string",
-                                    detail={"where": "trace_id"})
-            return cls(op=op, id=d.get("id"), trace_id=trace_id)
+            check_control(d)
+            return cls(op=op, id=d.get("id"), trace_id=d.get("trace_id"))
         try:
             creq = CompileRequest.from_dict(d)
         except ApiError as exc:
@@ -156,6 +146,21 @@ class Request:
 
     def ladder(self) -> tuple[str, ...]:
         return LADDER[self.op]
+
+
+def check_control(d: dict) -> None:
+    """Reject a control request carrying a field no control op takes."""
+    unknown = sorted(set(d) - set(_CONTROL_FIELDS))
+    if unknown:
+        raise ProtocolError(
+            f"unknown request field(s): {', '.join(unknown)}",
+            detail={"unknown_fields": unknown,
+                    "known_fields": sorted(_CONTROL_FIELDS),
+                    "where": "request"})
+    trace_id = d.get("trace_id")
+    if trace_id is not None and not isinstance(trace_id, str):
+        raise ProtocolError("'trace_id' must be a string",
+                            detail={"where": "trace_id"})
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.summarycache import fingerprint
+from ..obs import MetricsRegistry
 from .admission import ANON_TENANT, TokenBucket
 from .requests import (
     COMPILE_OPS, ProtocolError, STATUS_DEGRADED, STATUS_OK,
@@ -269,15 +270,12 @@ class Router:
         import random
         self._rng = random.Random(jitter_seed)
         self._lock = threading.Lock()
-        self.counters = {
-            "requests": 0, "completed": 0, "failovers": 0,
-            "hedges": 0, "hedge_wins": 0, "no_healthy_shard": 0,
-            "exhausted": 0, "ejections": 0, "readmissions": 0,
-            "rejected": 0, "deadline_refused": 0, "retries_denied": 0,
-        }
+        #: every routing event is a ``router.*`` series here (per
+        #: tenant where the ``fairness`` block splits it); the router
+        #: server shares this registry
+        self.metrics = MetricsRegistry()
         self._tenant_buckets: dict[str, TokenBucket] = {}
         self._retry_buckets: dict[str, TokenBucket] = {}
-        self._tenant_stats: dict[str, dict] = {}
         #: in-flight dispatches: seq -> (tenant, arrival monotonic)
         self._active: dict[int, tuple[str, float]] = {}
         self._active_seq = 0
@@ -286,16 +284,11 @@ class Router:
 
     # -- per-tenant state ---------------------------------------------------
 
-    def _tenant_counters(self, tenant: str) -> dict:
-        with self._lock:
-            stats = self._tenant_stats.get(tenant)
-            if stats is None:
-                stats = self._tenant_stats[tenant] = {
-                    "requests": 0, "completed": 0, "rejected": 0,
-                    "deadline_exceeded": 0, "retries_denied": 0,
-                    "failed": 0,
-                }
-            return stats
+    def _count(self, event: str, **labels: str) -> None:
+        """Count one ``router.*`` event.  A refusal is labelled
+        ``at="arrival"`` (the router's own verdict) or
+        ``at="dispatch"`` (a terminal reply on the dispatch path)."""
+        self.metrics.counter(f"router.{event}", **labels).inc()
 
     @staticmethod
     def _bucket(buckets: dict, tenant: str, rate: float,
@@ -369,8 +362,7 @@ class Router:
                 return False
             shard.readmit()
             if was_down:
-                with self._lock:
-                    self.counters["readmissions"] += 1
+                self._count("readmissions")
             return True
         self._note_shard_failure(shard)
         return False
@@ -382,8 +374,7 @@ class Router:
         backoff *= 0.5 + self._rng.random()       # jittered re-probe
         if shard.note_failure(self.fail_threshold, time.monotonic(),
                               backoff):
-            with self._lock:
-                self.counters["ejections"] += 1
+            self._count("ejections")
 
     # -- sharding -----------------------------------------------------------
 
@@ -447,18 +438,13 @@ class Router:
         attached, or a structured error if every shard is gone."""
         tenant = str(raw.get("tenant") or ANON_TENANT)
         arrival = time.monotonic()
-        tstats = self._tenant_counters(tenant)
-        with self._lock:
-            self.counters["requests"] += 1
-            tstats["requests"] += 1
+        self._count("requests", tenant=tenant)
         deadline_ms = raw.get("deadline_ms")
         if not isinstance(deadline_ms, (int, float)) \
                 or isinstance(deadline_ms, bool):
             deadline_ms = None
         if deadline_ms is not None and deadline_ms <= 0:
-            with self._lock:
-                self.counters["deadline_refused"] += 1
-                tstats["deadline_exceeded"] += 1
+            self._count("deadline_exceeded", tenant=tenant, at="arrival")
             return deadline_response(
                 raw.get("id"), raw.get("op") or "(unknown)",
                 message="deadline budget already exhausted on "
@@ -469,9 +455,7 @@ class Router:
                                   self.tenant_rate, self.tenant_burst,
                                   self._lock)
             if not bucket.try_take():
-                with self._lock:
-                    self.counters["rejected"] += 1
-                    tstats["rejected"] += 1
+                self._count("rejected", tenant=tenant, at="arrival")
                 return rejected_response(
                     raw.get("id"), raw.get("op") or "(unknown)",
                     max(0.05, bucket.retry_after()),
@@ -483,15 +467,14 @@ class Router:
             seq = self._active_seq
             self._active[seq] = (tenant, arrival)
         try:
-            resp = self._dispatch_routed(raw, tenant, tstats, arrival,
+            resp = self._dispatch_routed(raw, tenant, arrival,
                                          deadline_ms)
         finally:
             with self._lock:
                 self._active.pop(seq, None)
         return resp
 
-    def _dispatch_routed(self, raw: dict, tenant: str, tstats: dict,
-                         arrival: float,
+    def _dispatch_routed(self, raw: dict, tenant: str, arrival: float,
                          deadline_ms: float | None) -> dict:
         fp = self.workload_fingerprint(raw)
         ranked = self.rank(fp)
@@ -500,8 +483,7 @@ class Router:
             # shards — a stale ejection beats refusing the request
             ranked = self.rank(fp, include_unavailable=True)
         if not ranked:
-            with self._lock:
-                self.counters["no_healthy_shard"] += 1
+            self._count("no_healthy_shard")
             return error_response(
                 raw.get("id"), raw.get("op") or "(unknown)",
                 "no shard available to serve this request",
@@ -569,13 +551,10 @@ class Router:
                     # duplicate dispatch, so it spends retry budget
                     if not self._take_retry(tenant):
                         hedge_allowed = False
-                        with self._lock:
-                            self.counters["retries_denied"] += 1
-                            tstats["retries_denied"] += 1
+                        self._count("retries_denied", tenant=tenant)
                         continue
                     hedges += 1
-                    with self._lock:
-                        self.counters["hedges"] += 1
+                    self._count("hedges")
                     fire(target)
                     continue
                 break
@@ -585,24 +564,17 @@ class Router:
                     and status not in _FAILOVER_STATUSES:
                 if status in (STATUS_OK, STATUS_DEGRADED):
                     shard.note_success(elapsed)
+                    self._count("completed", tenant=tenant)
                 else:
                     # terminal admission verdict from the shard
                     # (rejected / deadline_exceeded): not a shard
                     # failure, not a routing success — latency stats
                     # and failure counters both stay untouched
-                    with self._lock:
-                        key = ("rejected" if status == "rejected"
-                               else "deadline_exceeded")
-                        tstats[key] += 1
-                        if status != "rejected":
-                            self.counters["deadline_refused"] += 1
-                with self._lock:
-                    self.counters["completed"] += 1
-                    if status in (STATUS_OK, STATUS_DEGRADED):
-                        tstats["completed"] += 1
-                    if hedges and launched > 1 \
-                            and shard is not primary:
-                        self.counters["hedge_wins"] += 1
+                    self._count("rejected" if status == "rejected"
+                                else "deadline_exceeded",
+                                tenant=tenant, at="dispatch")
+                if hedges and launched > 1 and shard is not primary:
+                    self._count("hedge_wins")
                 resp["route"] = {
                     "shard": shard.name, "attempts": launched,
                     "failovers": failovers, "hedged": hedges > 0,
@@ -626,17 +598,12 @@ class Router:
                 # budget (rolling restarts must stay zero-failure)
                 if draining_busy or self._take_retry(tenant):
                     failovers += 1
-                    with self._lock:
-                        self.counters["failovers"] += 1
+                    self._count("failovers")
                     fire(target)
                 else:
-                    with self._lock:
-                        self.counters["retries_denied"] += 1
-                        tstats["retries_denied"] += 1
+                    self._count("retries_denied", tenant=tenant)
 
-        with self._lock:
-            self.counters["exhausted"] += 1
-            tstats["failed"] += 1
+        self._count("exhausted", tenant=tenant)
         if last_failure is not None:
             last_failure.setdefault("route", {
                 "shard": None, "attempts": launched,
@@ -688,14 +655,22 @@ class Router:
         stats block, mirroring the compile server's)."""
         now = time.monotonic()
         with self._lock:
-            tenants = {t: dict(c)
-                       for t, c in self._tenant_stats.items()}
             active = list(self._active.values())
-        by_tenant: dict[str, int] = {}
+        by = self.metrics.totals_by
+        counts = {
+            "requests": by("router.requests", "tenant"),
+            "completed": by("router.completed", "tenant"),
+            "rejected": by("router.rejected", "tenant"),
+            "deadline_exceeded": by("router.deadline_exceeded",
+                                    "tenant"),
+            "retries_denied": by("router.retries_denied", "tenant"),
+            "failed": by("router.exhausted", "tenant"),
+        }
+        tenants = {t: {key: c.get(t, 0) for key, c in counts.items()}
+                   for t in sorted(counts["requests"])}
         for t, _ in active:
-            by_tenant[t] = by_tenant.get(t, 0) + 1
-        for t, n in by_tenant.items():
-            tenants.setdefault(t, {})["in_flight"] = n
+            tenant = tenants.setdefault(t, {})
+            tenant["in_flight"] = tenant.get("in_flight", 0) + 1
         oldest = min((at for _, at in active), default=None)
         return {
             "in_flight": len(active),
@@ -709,8 +684,21 @@ class Router:
         }
 
     def stats(self) -> dict:
-        with self._lock:
-            counters = dict(self.counters)
+        total = self.metrics.total
+        counters = {
+            "requests": total("router.requests"),
+            # every reply through the dispatch path, including the
+            # shards' terminal admission verdicts
+            "completed": total("router.completed")
+            + total("router.rejected", at="dispatch")
+            + total("router.deadline_exceeded", at="dispatch"),
+            **{k: total(f"router.{k}") for k in (
+                "failovers", "hedges", "hedge_wins", "no_healthy_shard",
+                "exhausted", "ejections", "readmissions")},
+            "rejected": total("router.rejected", at="arrival"),
+            "deadline_refused": total("router.deadline_exceeded"),
+            "retries_denied": total("router.retries_denied"),
+        }
         out = {
             "router": counters,
             "fairness": self.fairness(),
@@ -760,20 +748,20 @@ class RouterServer(LineServer):
     a SIGKILLed active cost clients at most one reconnect."""
 
     WORK_OPS = COMPILE_OPS
+    ROLE = "router"
 
     def __init__(self, socket_path: str, router: Router, *,
                  peers: list[RouterPeer] | None = None, rank: int = 0,
                  peer_probe_interval: float = 0.25,
                  peer_fail_threshold: int = 3,
                  peer_timeout: float = 1.0, **wire):
-        super().__init__(socket_path, **wire)
+        super().__init__(socket_path, metrics=router.metrics, **wire)
         self.router = router
         self.rank = rank
         self.peers = list(peers or [])
         self.peer_probe_interval = peer_probe_interval
         self.peer_fail_threshold = peer_fail_threshold
         self.peer_timeout = peer_timeout
-        self.takeovers = 0
         self._active = not any(p.rank < rank for p in self.peers)
         self._peer_stop = threading.Event()
         self._peer_thread: threading.Thread | None = None
@@ -828,31 +816,21 @@ class RouterServer(LineServer):
             # takeover: we are now the preferred router.  Rebuild the
             # shard view from our own probes right away — off-thread,
             # so a slow shard cannot stall the peer loop
-            self.takeovers += 1
+            self.metrics.counter("ha.takeovers").inc()
             threading.Thread(target=self.router.probe_all,
                              daemon=True,
                              name="router-takeover-probe").start()
         self._active = active
 
+    def ping_fields(self) -> dict:
+        return {"role": self.ROLE, "rank": self.rank,
+                "active": self._active,
+                "shards": sum(1 for s in self.router.shards
+                              if s.available())}
+
     def handle_request(self, raw: dict) -> dict:
         req_id = raw.get("id")
         op = raw.get("op")
-        if op == "ping":
-            return {"id": req_id, "op": "ping", "status": "ok",
-                    "pong": True, "draining": self.draining,
-                    "role": "router", "rank": self.rank,
-                    "active": self._active,
-                    "shards": sum(1 for s in self.router.shards
-                                  if s.available())}
-        if op == "shutdown":
-            return {"id": req_id, "op": "shutdown", "status": "ok"}
-        if op == "drain":
-            status = self.begin_drain()
-            return {"id": req_id, "op": "drain", "status": "ok",
-                    **status}
-        if op == "stats":
-            return {"id": req_id, "op": "stats", "status": "ok",
-                    "stats": self.stats()}
         if op == "trace":
             return self._forward_trace(raw)
         if op in COMPILE_OPS:
@@ -878,25 +856,19 @@ class RouterServer(LineServer):
             raw.get("id"), "trace",
             "no shard holds the requested trace")
 
-    def stats(self) -> dict:
+    def server_fields(self) -> dict:
+        # the router has no queue of its own: its "queue" is the set
+        # of dispatches waiting on shards right now
+        fairness = self.router.fairness()
+        return {"queue_depth": fairness["in_flight"],
+                "oldest_age_s": fairness["oldest_age_s"]}
+
+    def stats_blocks(self) -> dict:
         out = self.router.stats()
-        fairness = out.get("fairness") or {}
-        out["server"] = {
-            "role": "router",
-            "in_flight": self.in_flight,
-            # the router has no queue of its own: its "queue" is the
-            # set of dispatches waiting on shards right now
-            "queue_depth": fairness.get("in_flight", 0),
-            "oldest_age_s": fairness.get("oldest_age_s"),
-            "draining": self.draining,
-            "uptime_s": self.uptime_s(),
-            "socket": self.socket_path,
-        }
-        out["connections"] = self.connection_stats()
         out["ha"] = {
             "rank": self.rank,
             "active": self._active,
-            "takeovers": self.takeovers,
+            "takeovers": self.metrics.total("ha.takeovers"),
             "peers": [{"socket": p.socket, "rank": p.rank,
                        "healthy": p.healthy,
                        "consecutive_failures":

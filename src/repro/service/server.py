@@ -3,8 +3,10 @@
 :class:`LineServer` is the shared transport shell: a local Unix stream
 socket, one thread per connection, newline-delimited JSON requests in,
 exactly one structured response line out per request — plus the
-**graceful drain** lifecycle every daemon in the farm shares.  Three
-servers build on it:
+**graceful drain** lifecycle and the control ops (``ping`` /
+``shutdown`` / ``drain`` / ``stats``) every daemon in the farm shares.
+Each server counts in one :class:`~repro.obs.MetricsRegistry`, which
+its ``stats`` reply renders.  Three servers build on it:
 
 - :class:`CompileServer` (this module) — the ``repro serve`` daemon
   fronting a :class:`~repro.service.supervisor.Supervisor`;
@@ -53,13 +55,14 @@ import time
 from pathlib import Path
 
 from ..core.dag import effective_cores
+from ..obs import MetricsRegistry
 from .admission import (
     ADMIT, ANON_TENANT, AdmissionController, QueueItem, REJECT_HOPELESS,
     REJECT_QUOTA,
 )
 from .requests import (
-    COMPILE_OPS, ProtocolError, Request, busy_response, deadline_response,
-    decode, encode, error_response, rejected_response,
+    COMPILE_OPS, ProtocolError, Request, busy_response, check_control,
+    deadline_response, decode, encode, error_response, rejected_response,
 )
 from .supervisor import Supervisor
 from .wire import (
@@ -96,22 +99,43 @@ class _Conn:
             pass
 
 
-class LineServer:
-    """Accept loop, line framing, and the drain lifecycle.
+#: connection events, each counted as a ``connections.*`` series
+_CONN_EVENTS = ("accepted", "evicted_idle", "refused", "oversized",
+                "bad_version")
 
-    Subclasses implement :meth:`handle_request` (one raw request dict
-    -> one response dict) and set :attr:`WORK_OPS` to the ops that
-    count as in-flight *work* — control ops are always served, even
-    while draining, so health checks and stats stay answerable."""
+
+class LineServer:
+    """Accept loop, line framing, the drain lifecycle, and the control
+    ops.
+
+    The server itself answers ``ping`` / ``shutdown`` / ``drain`` and
+    the :attr:`STATS_OPS`, rendering the ``server`` and
+    ``connections`` stats blocks every tier shares.  Subclasses add
+    their role's fields through :meth:`ping_fields`,
+    :meth:`server_fields` and :meth:`stats_blocks`, implement
+    :meth:`handle_request` (one raw request dict -> one response dict)
+    for every other op, and set :attr:`WORK_OPS` to the ops that count
+    as in-flight *work* — control ops are always served, even while
+    draining, so health checks and stats stay answerable.
+
+    ``metrics`` is the process's one registry: the server counts its
+    connection events there, and the component it fronts shares it."""
 
     #: ops refused while draining and awaited before a drained exit
     WORK_OPS: tuple[str, ...] = ()
+    #: ops answered with the :meth:`stats` rendering
+    STATS_OPS: tuple[str, ...] = ("stats",)
+    #: the ``role`` reported by ``ping`` and the ``server`` block
+    ROLE: str | None = None
 
     def __init__(self, socket_path: str, *,
+                 metrics: MetricsRegistry | None = None,
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
                  max_connections: int = DEFAULT_MAX_CONNECTIONS):
         self.socket_path = str(socket_path)
+        self.metrics = metrics if metrics is not None \
+            else MetricsRegistry()
         self.max_request_bytes = int(max_request_bytes)
         self.idle_timeout = float(idle_timeout)
         self.max_connections = int(max_connections)
@@ -126,9 +150,6 @@ class LineServer:
         self._drain_thread: threading.Thread | None = None
         self._conns: dict[int, _Conn] = {}
         self._conn_seq = 0
-        self._conn_counters = {"accepted": 0, "evicted_idle": 0,
-                               "refused": 0, "oversized": 0,
-                               "bad_version": 0}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -279,18 +300,18 @@ class LineServer:
         with self._lock:
             self._conn_seq += 1
             state.cid = self._conn_seq
-            self._conn_counters["accepted"] += 1
+            self.metrics.counter("connections.accepted").inc()
             if len(self._conns) >= self.max_connections:
                 candidates = [c for c in self._conns.values()
                               if not c.busy]
                 if not candidates:
-                    self._conn_counters["refused"] += 1
+                    self.metrics.counter("connections.refused").inc()
                     state.close()
                     return None
                 victim = min(candidates,
                              key=lambda c: c.last_active)
                 self._conns.pop(victim.cid, None)
-                self._conn_counters["evicted_idle"] += 1
+                self.metrics.counter("connections.evicted_idle").inc()
             self._conns[state.cid] = state
         if victim is not None:
             victim.close()
@@ -300,14 +321,11 @@ class LineServer:
         with self._lock:
             self._conns.pop(state.cid, None)
 
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self._conn_counters[key] += 1
-
     def connection_stats(self) -> dict:
         """The ``connections`` stats block every server reports."""
+        out = {k: self.metrics.total(f"connections.{k}")
+               for k in _CONN_EVENTS}
         with self._lock:
-            out = dict(self._conn_counters)
             out["open"] = len(self._conns)
         out["max_connections"] = self.max_connections
         out["max_request_bytes"] = self.max_request_bytes
@@ -326,12 +344,13 @@ class LineServer:
                     # idle past the window — including a half-open
                     # peer that connected and never sent a byte —
                     # reclaim the thread and the connection slot
-                    self._count("evicted_idle")
+                    self.metrics.counter(
+                        "connections.evicted_idle").inc()
                     return
                 except OSError:
                     return            # transport died (or evicted)
                 if oversized:
-                    self._count("oversized")
+                    self.metrics.counter("connections.oversized").inc()
                     try:
                         conn.sendall(encode(
                             oversized_response(self.max_request_bytes)))
@@ -387,7 +406,7 @@ class LineServer:
         v = raw.pop("v", None)
         if v is not None and (isinstance(v, bool)
                               or v not in SUPPORTED_PROTOCOL_VERSIONS):
-            self._count("bad_version")
+            self.metrics.counter("connections.bad_version").inc()
             return self._stamp(protocol_error_response(
                 raw.get("id"), raw.get("op"), v))
         return self._stamp(self._handle_versioned(raw))
@@ -410,17 +429,60 @@ class LineServer:
 
     def _handle_raw(self, raw: dict, req_id, op) -> dict:
         try:
+            if op in ("ping", "shutdown", "drain") \
+                    or op in self.STATS_OPS:
+                return self._control(raw, req_id, op)
             return self.handle_request(raw)
         except Exception as exc:      # the daemon must never die here
             return error_response(
                 req_id, op or "(unknown)",
                 f"internal error: {type(exc).__name__}: {exc}")
 
+    def _control(self, raw: dict, req_id, op: str) -> dict:
+        try:
+            check_control(raw)
+        except ProtocolError as exc:
+            return error_response(req_id, op, str(exc),
+                                  detail=exc.detail or None)
+        resp = {"id": req_id, "op": op, "status": "ok"}
+        if op == "ping":
+            resp.update(pong=True, draining=self.draining,
+                        **self.ping_fields())
+        elif op == "drain":
+            resp.update(self.begin_drain())
+        elif op != "shutdown":
+            resp["stats"] = self.stats()
+        return resp
+
     def handle_request(self, raw: dict) -> dict:
         raise NotImplementedError
 
+    # -- stats -------------------------------------------------------------
+
     def uptime_s(self) -> float:
         return round(time.monotonic() - self._started_at, 2)
+
+    def ping_fields(self) -> dict:
+        """Role-specific fields of a ``ping`` reply."""
+        return {"role": self.ROLE} if self.ROLE else {}
+
+    def server_fields(self) -> dict:
+        """Role-specific fields of the ``server`` stats block."""
+        return {}
+
+    def stats_blocks(self) -> dict:
+        """The role's own stats blocks, next to ``server`` and
+        ``connections``."""
+        return {}
+
+    def stats(self) -> dict:
+        server = {"role": self.ROLE} if self.ROLE else {}
+        server.update(in_flight=self.in_flight, draining=self.draining,
+                      uptime_s=self.uptime_s(),
+                      socket=self.socket_path, **self.server_fields())
+        return {"server": server,
+                "connections": self.connection_stats(),
+                **self.stats_blocks()}
 
 
 def _box_put(box: "queuelib.Queue", resp: dict) -> None:
@@ -452,7 +514,7 @@ class CompileServer(LineServer):
                  max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
                  idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
                  max_connections: int = DEFAULT_MAX_CONNECTIONS):
-        super().__init__(socket_path,
+        super().__init__(socket_path, metrics=supervisor.metrics,
                          max_request_bytes=max_request_bytes,
                          idle_timeout=idle_timeout,
                          max_connections=max_connections)
@@ -461,10 +523,8 @@ class CompileServer(LineServer):
         #: bounds compile requests in the system: pool + bounded queue
         self.admission = AdmissionController(
             supervisor.config.pool_size + queue_max,
-            tenant_rate=tenant_rate, tenant_burst=tenant_burst)
-        self._served = 0
-        self._shed = 0
-        self._deadline_refused = 0
+            tenant_rate=tenant_rate, tenant_burst=tenant_burst,
+            metrics=self.metrics)
         #: requests currently held by a dispatcher (counts against the
         #: admission bound alongside the queue depth)
         self._dispatching = 0
@@ -517,10 +577,6 @@ class CompileServer(LineServer):
         if item.expired(now):
             # expired while queued: evict, never dispatch
             self.admission.evict_expired(item)
-            with self._lock:
-                self._deadline_refused += 1
-            self.supervisor.metrics.counter(
-                "admission.deadline_evicted").inc()
             _box_put(box, deadline_response(
                 req.id, req.op,
                 message="deadline budget expired while the request "
@@ -528,7 +584,7 @@ class CompileServer(LineServer):
                 reason="expired_in_queue"))
             return
         req.queue_wait_s = max(0.0, now - item.enqueued_at)
-        self.supervisor.metrics.histogram(
+        self.metrics.histogram(
             "admission.queue_wait_ms").observe(req.queue_wait_s * 1e3)
         try:
             resp = self.supervisor.submit(req)
@@ -538,8 +594,6 @@ class CompileServer(LineServer):
                 f"internal error: {type(exc).__name__}: {exc}")
         self.admission.note_completed(
             item, service_s=time.monotonic() - now)
-        with self._lock:
-            self._served += 1
         _box_put(box, resp)
 
     def handle_request(self, raw: dict) -> dict:
@@ -550,21 +604,6 @@ class CompileServer(LineServer):
         except ProtocolError as exc:
             return error_response(req_id, op or "(unknown)", str(exc),
                                   detail=exc.detail or None)
-        return self._dispatch(req)
-
-    def _dispatch(self, req: Request) -> dict:
-        if req.op == "ping":
-            return {"id": req.id, "op": "ping", "status": "ok",
-                    "pong": True, "draining": self.draining}
-        if req.op == "shutdown":
-            return {"id": req.id, "op": "shutdown", "status": "ok"}
-        if req.op == "drain":
-            status = self.begin_drain()
-            return {"id": req.id, "op": "drain", "status": "ok",
-                    **status}
-        if req.op == "stats":
-            return {"id": req.id, "op": "stats", "status": "ok",
-                    "stats": self.stats()}
         if req.op == "trace":
             stored = self.supervisor.get_trace(req.trace_id)
             if stored is None:
@@ -593,28 +632,17 @@ class CompileServer(LineServer):
         decision = self.admission.offer(
             item, budget_s=req.remaining_budget_s(now),
             extra_occupancy=extra)
-        metrics = self.supervisor.metrics
         if decision.verdict == REJECT_QUOTA:
-            metrics.counter("admission.rejected",
-                            reason="quota").inc()
             return rejected_response(
                 req.id, req.op, decision.retry_after or 0.5,
                 message=decision.detail, reason="quota")
         if decision.verdict == REJECT_HOPELESS:
             # the remaining budget cannot cover the observed p50
             # service time: answering now is the only honest outcome
-            with self._lock:
-                self._deadline_refused += 1
-            metrics.counter("admission.rejected",
-                            reason="hopeless").inc()
             return deadline_response(req.id, req.op,
                                      message=decision.detail,
                                      reason="hopeless")
         if decision.verdict != ADMIT:      # bounded queue full
-            with self._lock:
-                self._shed += 1
-            metrics.counter("admission.shed",
-                            reason="queue_full").inc()
             return busy_response(req.id, req.op,
                                  retry_after=decision.retry_after
                                  or 0.5)
@@ -623,44 +651,36 @@ class CompileServer(LineServer):
             # makes room for an under-share tenant — it still gets
             # its one structured (busy) reply, right now
             vreq, vbox = decision.displaced.payload
-            with self._lock:
-                self._shed += 1
-            metrics.counter("admission.shed",
-                            reason="displaced").inc()
             _box_put(vbox, busy_response(
                 vreq.id, vreq.op,
                 retry_after=self.admission.queue_retry_after(),
                 message="request displaced from the queue by a "
                         "tenant under its fair share",
                 reason="displaced"))
-        metrics.counter("admission.admitted",
-                        tenant=item.tenant).inc()
         return box.get()
 
     # -- stats -------------------------------------------------------------
 
-    def stats(self) -> dict:
+    def server_fields(self) -> dict:
+        m = self.metrics
         with self._lock:
-            server = {
-                "served": self._served,
-                "shed": self._shed,
-                "deadline_refused": self._deadline_refused,
-                "queue_max": self.queue_max,
-                "queue_depth": self.admission.queue.depth(),
-                "oldest_age_s": self.admission.queue.oldest_age_s(),
-                "in_flight": self._in_flight,
-                "dispatching": self._dispatching,
-                "draining": self.draining,
-                "uptime_s": round(
-                    time.monotonic() - self._started_at, 2),
-                "socket": self.socket_path,
-                "effective_cores": effective_cores(),
-            }
-        out = {"server": server,
-               "connections": self.connection_stats(),
-               "fairness": self.admission.fairness()}
-        out.update(self.supervisor.stats())
-        return out
+            dispatching = self._dispatching
+        return {
+            "served": m.total("admission.completed"),
+            "shed": m.total("admission.shed"),
+            "deadline_refused":
+                m.total("admission.rejected", reason="hopeless")
+                + m.total("admission.deadline_evicted"),
+            "queue_max": self.queue_max,
+            "queue_depth": self.admission.queue.depth(),
+            "oldest_age_s": self.admission.queue.oldest_age_s(),
+            "dispatching": dispatching,
+            "effective_cores": effective_cores(),
+        }
+
+    def stats_blocks(self) -> dict:
+        return {"fairness": self.admission.fairness(),
+                **self.supervisor.stats()}
 
 
 # ---------------------------------------------------------------------------

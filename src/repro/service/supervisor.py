@@ -121,6 +121,8 @@ class _Outcome:
                  detail: str = "", last_stage: str = ""):
         self.kind = kind      # ok | error | fatal | crash | deadline |
         #                       hang | busy
+        #: workers replaced during this attempt
+        self.respawns = 0
         self.payload = payload
         self.diagnostics = diagnostics or []
         self.detail = detail
@@ -153,16 +155,8 @@ class Supervisor:
         self._stopping = False
         self._spawn_count = 0
         self._crash_seq = 0
-        self.stats_lock = threading.Lock()
-        self.stats_counters = {
-            "requests": 0, "served_ok": 0, "served_degraded": 0,
-            "errors": 0, "busy": 0, "attempts": 0, "respawns": 0,
-            "crashes": 0, "deadline_kills": 0, "hang_kills": 0,
-            "breaker_skips": 0, "crash_reports_dropped": 0,
-            "deadline_exceeded": 0,
-        }
-        #: structured metrics alongside the flat counters — the
-        #: ``stats`` op reports both
+        #: every supervisor event is counted here; the ``supervisor``
+        #: stats block is rendered from it
         self.metrics = MetricsRegistry()
         self._trace_lock = threading.Lock()
         #: trace_id -> stitched span dicts, newest last (bounded)
@@ -272,8 +266,9 @@ class Supervisor:
         except OSError:
             pass
 
-    def _replace(self, w: _WorkerHandle) -> None:
-        """Kill ``w`` (if needed) and return a fresh worker to the pool.
+    def _replace(self, w: _WorkerHandle) -> int:
+        """Kill ``w`` (if needed) and return a fresh worker to the pool;
+        returns the number of workers respawned (0 while stopping).
 
         The replacement inherits nothing from the corpse except the
         on-disk summary cache — which is the point: warm state survives
@@ -281,12 +276,11 @@ class Supervisor:
         self._kill(w)
         with self._cv:
             if self._stopping:
-                return                # shutting down: no replacement
-        with self.stats_lock:
-            self.stats_counters["respawns"] += 1
+                return 0              # shutting down: no replacement
         self.metrics.counter("service.respawns").inc()
         replacement = self._spawn(w.index)
         self._release(replacement)
+        return 1
 
     # -- stitched traces ---------------------------------------------------
 
@@ -393,8 +387,6 @@ class Supervisor:
             except OSError:
                 pass
         if dropped:
-            with self.stats_lock:
-                self.stats_counters["crash_reports_dropped"] += dropped
             self.metrics.counter("service.crash_reports_dropped") \
                 .inc(dropped)
 
@@ -407,9 +399,15 @@ class Supervisor:
         if tracer is not None:
             span = tracer.start("attempt", category=CAT_SERVICE)
             span.set(tier=tier, attempt=attempt)
+        respawns = 0
+
+        def replace(w: _WorkerHandle) -> None:
+            nonlocal respawns
+            respawns += self._replace(w)
 
         def done(outcome: _Outcome,
                  worker_spans: list[dict] | None = None) -> _Outcome:
+            outcome.respawns = respawns
             if span is not None:
                 span.set(result=outcome.kind)
                 if not outcome.ok:
@@ -429,7 +427,7 @@ class Supervisor:
             return done(_Outcome("busy", detail="no worker available"))
         # a worker can die while idle (external kill); replace silently
         if not w.proc.is_alive():
-            self._replace(w)
+            replace(w)
             w = self._acquire(timeout=deadline)
             if w is None:
                 return done(
@@ -447,7 +445,7 @@ class Supervisor:
             w.conn.send(job)
         except (OSError, ValueError) as exc:
             last = w.last_stage
-            self._replace(w)
+            replace(w)
             return done(_Outcome("crash",
                                  detail=f"dispatch failed: {exc}",
                                  last_stage=last))
@@ -464,8 +462,6 @@ class Supervisor:
             now = time.monotonic()
             if now - start > deadline:
                 last = w.last_stage
-                with self.stats_lock:
-                    self.stats_counters["deadline_kills"] += 1
                 self.metrics.counter("service.kills",
                                      reason="deadline").inc()
                 self._crash_report(
@@ -474,15 +470,13 @@ class Supervisor:
                     last_stage=last, reason="deadline",
                     detail=f"attempt exceeded its {deadline:.2f}s "
                            f"deadline", exitcode=None)
-                self._replace(w)
+                replace(w)
                 return done(_Outcome("deadline", last_stage=last,
                                      detail=f"{deadline:.2f}s deadline "
                                             f"expired in pass {last!r}"))
             hb = w.heartbeat.value
             if hb > 0.0 and now - hb > cfg.hang_timeout:
                 last = w.last_stage
-                with self.stats_lock:
-                    self.stats_counters["hang_kills"] += 1
                 self.metrics.counter("service.kills",
                                      reason="hang").inc()
                 self._crash_report(
@@ -491,7 +485,7 @@ class Supervisor:
                     last_stage=last, reason="hang",
                     detail=f"heartbeat stale for "
                            f"{now - hb:.2f}s", exitcode=None)
-                self._replace(w)
+                replace(w)
                 return done(_Outcome(
                     "hang", last_stage=last,
                     detail=f"heartbeat lost for {now - hb:.2f}s in "
@@ -508,8 +502,6 @@ class Supervisor:
         if msg is None:               # worker died mid-request
             last = w.last_stage
             exitcode = w.proc.exitcode
-            with self.stats_lock:
-                self.stats_counters["crashes"] += 1
             self.metrics.counter("service.crashes").inc()
             self._crash_report(
                 op=req.op, tier=tier, request_id=req.id,
@@ -517,7 +509,7 @@ class Supervisor:
                 last_stage=last, reason="crash",
                 detail=f"worker exited with {exitcode}",
                 exitcode=exitcode)
-            self._replace(w)
+            replace(w)
             return done(_Outcome(
                 "crash", last_stage=last,
                 detail=f"worker died (exit {exitcode}) in "
@@ -533,15 +525,13 @@ class Supervisor:
         if kind == "fatal":           # worker reported OOM and is dying
             last = msg.get("stage") or w.last_stage
             w.proc.join(timeout=2.0)
-            with self.stats_lock:
-                self.stats_counters["crashes"] += 1
             self.metrics.counter("service.crashes").inc()
             self._crash_report(
                 op=req.op, tier=tier, request_id=req.id,
                 attempt=attempt, units=[n for n, _ in req.sources],
                 last_stage=last, reason="fatal",
                 detail=msg.get("error", ""), exitcode=w.proc.exitcode)
-            self._replace(w)
+            replace(w)
             return done(_Outcome("fatal", last_stage=last,
                                  detail=msg.get("error",
                                                 "worker fatal")))
@@ -593,8 +583,6 @@ class Supervisor:
 
     def _submit(self, req: Request, tracer: Tracer | None) -> dict:
         cfg = self.config
-        with self.stats_lock:
-            self.stats_counters["requests"] += 1
         self.metrics.counter("service.requests", op=req.op).inc()
         t_start = time.monotonic()
         deadline = req.deadline if req.deadline is not None \
@@ -604,15 +592,14 @@ class Supervisor:
         ladder = req.ladder()
         src_fp = req.source_fingerprint()[:16]
         engine = DiagnosticEngine()
-        respawns_before = self.stats_counters["respawns"]
         attempts = 0
+        #: workers replaced by this request's own attempts
+        respawns = 0
         failure_reasons: list[dict] = []
 
         for tier_index, tier in enumerate(ladder):
             key = f"{req.op}:{tier}:{src_fp}"
             if not self.breaker.allow(key):
-                with self.stats_lock:
-                    self.stats_counters["breaker_skips"] += 1
                 self.metrics.counter("breaker.open",
                                      tier=tier).inc()
                 engine.warning(
@@ -633,16 +620,16 @@ class Supervisor:
                     # out of end-to-end budget: answering now (with
                     # margin to spare) beats dispatching an attempt
                     # whose reply would land past the wire deadline
-                    with self.stats_lock:
-                        self.stats_counters["deadline_exceeded"] += 1
                     self.metrics.counter("service.deadline_exceeded",
                                          op=req.op).inc()
-                    return deadline_response(
+                    resp = deadline_response(
                         req.id, req.op,
                         message=f"end-to-end budget exhausted after "
                                 f"{attempts} attempt(s); tier "
                                 f"{tier!r} not attempted",
                         reason="budget_exhausted")
+                    resp["respawns"] = respawns
+                    return resp
                 attempt_deadline = deadline
                 if remaining is not None:
                     # the worker deadline is the remaining budget
@@ -652,22 +639,22 @@ class Supervisor:
                         0.05, min(deadline,
                                   remaining - cfg.deadline_margin))
                 attempts += 1
-                with self.stats_lock:
-                    self.stats_counters["attempts"] += 1
+                self.metrics.counter("service.attempts").inc()
                 if attempts > 1:
                     self.metrics.counter("service.retries").inc()
                 outcome = self._execute(req, tier, attempts,
                                         attempt_deadline, tracer)
+                respawns += outcome.respawns
                 if outcome.kind == "busy":
-                    with self.stats_lock:
-                        self.stats_counters["busy"] += 1
                     self.metrics.counter("service.busy").inc()
-                    return busy_response(req.id, req.op)
+                    resp = busy_response(req.id, req.op)
+                    resp["respawns"] = respawns
+                    return resp
                 if outcome.ok:
                     self.breaker.record_success(key)
                     return self._success_response(
                         req, tier, ladder, outcome, engine, attempts,
-                        respawns_before, t_start)
+                        respawns, t_start)
                 self.breaker.record_failure(key)
                 self._note_failure(engine, tier, attempts, outcome)
                 failure_reasons.append(
@@ -683,15 +670,12 @@ class Supervisor:
                         sleep = min(sleep, max(0.0, remaining / 4))
                     time.sleep(sleep)
 
-        with self.stats_lock:
-            self.stats_counters["errors"] += 1
         self.metrics.counter("service.errors", op=req.op).inc()
         return error_response(
             req.id, req.op,
             "every degradation-ladder tier failed for this request",
             diagnostics=[d.to_dict() for d in engine],
-            attempts=attempts,
-            respawns=self.stats_counters["respawns"] - respawns_before,
+            attempts=attempts, respawns=respawns,
             detail={"tiers_tried": list(ladder),
                     "failures": failure_reasons})
 
@@ -713,8 +697,7 @@ class Supervisor:
     def _success_response(self, req: Request, tier: str,
                           ladder: tuple[str, ...], outcome: _Outcome,
                           engine: DiagnosticEngine, attempts: int,
-                          respawns_before: int,
-                          t_start: float) -> dict:
+                          respawns: int, t_start: float) -> dict:
         for d in outcome.diagnostics:
             try:
                 engine.emit(Diagnostic.from_dict(d))
@@ -728,10 +711,6 @@ class Supervisor:
                 f"{ladder[0]!r}", code=CODE_DEGRADED,
                 action="fix or re-try the workload for a full result")
         status = STATUS_DEGRADED if degraded else STATUS_OK
-        with self.stats_lock:
-            key = "served_degraded" if degraded else "served_ok"
-            self.stats_counters[key] += 1
-            respawns = self.stats_counters["respawns"] - respawns_before
         self.metrics.counter("service.served", op=req.op,
                              status=status).inc()
         self.metrics.histogram("service.request_wall_ms",
@@ -746,8 +725,24 @@ class Supervisor:
     # -- stats -------------------------------------------------------------
 
     def stats(self) -> dict:
-        with self.stats_lock:
-            counters = dict(self.stats_counters)
+        total = self.metrics.total
+        counters = {
+            "requests": total("service.requests"),
+            "served_ok": total("service.served", status=STATUS_OK),
+            "served_degraded": total("service.served",
+                                     status=STATUS_DEGRADED),
+            "errors": total("service.errors"),
+            "busy": total("service.busy"),
+            "attempts": total("service.attempts"),
+            "respawns": total("service.respawns"),
+            "crashes": total("service.crashes"),
+            "deadline_kills": total("service.kills", reason="deadline"),
+            "hang_kills": total("service.kills", reason="hang"),
+            "breaker_skips": total("breaker.open"),
+            "crash_reports_dropped":
+                total("service.crash_reports_dropped"),
+            "deadline_exceeded": total("service.deadline_exceeded"),
+        }
         with self._cv:
             idle = len(self._idle)
         counters.update({

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import threading
 from contextlib import contextmanager
@@ -192,6 +193,43 @@ class TestMetrics:
         for t in threads:
             t.join()
         assert c.snapshot() == 4000
+
+    def test_totals_sum_matching_counter_series(self):
+        m = MetricsRegistry()
+        m.counter("shed", reason="full", tenant="a").inc()
+        m.counter("shed", reason="displaced", tenant="a").inc(2)
+        m.counter("shed", reason="full", tenant="b").inc()
+        m.histogram("shed_ms", tenant="a").observe(9.0)
+        assert m.total("shed") == 4
+        assert isinstance(m.total("shed"), int)
+        assert m.total("shed", reason="full") == 2
+        assert m.total("never_fired") == 0
+        assert m.totals_by("shed", "tenant") == {"a": 3, "b": 1}
+        assert m.totals_by("shed", "tenant", reason="displaced") == \
+            {"a": 2}
+
+    def test_concurrent_get_or_create_loses_no_count(self):
+        # service threads look a labelled series up on every event
+        m = MetricsRegistry()
+
+        def work():
+            for n in range(500):
+                m.counter("req", tenant=f"t{n % 3}").inc()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert m.total("req") == 4000
+        assert m.totals_by("req", "tenant") == \
+            {"t0": 1336, "t1": 1336, "t2": 1328}
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ class TestResilience:
             assert CODE_HANG in codes(resp)
             assert CODE_DEGRADED in codes(resp)
             assert resp["payload"]["table1"] == [1, 1, 1]
-            assert sup.stats_counters["hang_kills"] >= 1
+            assert sup.stats()["supervisor"]["hang_kills"] >= 1
 
     def test_deadline_expiry_with_live_heartbeat(self):
         # silent=False keeps the heartbeat beating, so only the
@@ -314,7 +314,7 @@ class TestResilience:
             assert resp["status"] == "degraded"
             assert resp["tier"] == "advisory"
             assert CODE_DEADLINE in codes(resp)
-            assert sup.stats_counters["deadline_kills"] >= 1
+            assert sup.stats()["supervisor"]["deadline_kills"] >= 1
 
     def test_simulated_oom_is_fatal_then_retried(self):
         with service(pool_size=1, max_retries=1) as (sock, _s, sup):
@@ -358,17 +358,43 @@ class TestResilience:
                 resp = single_request(sock, poisoned)
                 assert resp["status"] == "error"
                 assert resp["error"]["failures"]
-            attempts_before = sup.stats_counters["attempts"]
+            attempts_before = sup.stats()["supervisor"]["attempts"]
             tripped = single_request(sock, poisoned)
             assert tripped["status"] == "error"
             assert tripped["attempts"] == 0       # no worker touched
             assert CODE_BREAKER in codes(tripped)
-            assert sup.stats_counters["attempts"] == attempts_before
+            assert sup.stats()["supervisor"]["attempts"] == attempts_before
             assert all(f["reason"] == "breaker-open"
                        for f in tripped["error"]["failures"])
             # a different workload is unaffected
             clean = single_request(sock, compile_request("analyze"))
             assert clean["status"] == "ok"
+
+    def test_respawns_are_charged_to_the_request_that_caused_them(self):
+        """A reply's ``respawns`` counts the workers its own attempts
+        replaced — not a concurrent request's."""
+        with service(pool_size=2) as (sock, _s, sup):
+            replies = {}
+
+            def send(name: str, fault: dict) -> None:
+                replies[name] = single_request(sock, compile_request(
+                    "analyze", faults=[fault]), timeout=120)
+
+            # B holds one worker for seconds; A's worker is killed,
+            # replaced, and A retried on the replacement meanwhile
+            slow = threading.Thread(target=send, args=("B", {
+                "stage": "request", "mode": "slow-start",
+                "seconds": 4, "times": 1}))
+            slow.start()
+            time.sleep(0.5)
+            send("A", {"stage": "request", "mode": "kill", "times": 1})
+            slow.join(timeout=120)
+            assert replies["A"]["status"] == "ok"
+            assert replies["B"]["status"] == "ok"
+            assert replies["A"]["respawns"] >= 1
+            assert replies["B"]["respawns"] == 0
+            assert sup.stats()["supervisor"]["respawns"] == \
+                replies["A"]["respawns"]
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,27 @@ def test_legacy_unframed_entries_still_load(tmp_path):
     assert cache.load("parse", key) == {"old": True}
 
 
+@pytest.mark.parametrize("damage", [
+    pytest.param(None, id="absent"),
+    pytest.param(lambda raw: raw[:-1] + bytes([raw[-1] ^ 0xFF]),
+                 id="checksum-mismatch"),
+    pytest.param(lambda raw: b"", id="empty-file"),
+    pytest.param(lambda raw: frame_blob(b"not a pickle"),
+                 id="unpickle-failure"),
+    pytest.param(lambda raw: frame_blob(pickle.dumps(None)),
+                 id="null-artifact"),
+])
+def test_each_failed_load_counts_one_miss(tmp_path, damage):
+    cache = SummaryCache(tmp_path / "cache")
+    key = SummaryCache.key_for("parse", "entry")
+    if damage is not None:
+        assert cache.store("parse", key, {"ok": True})
+        path = cache._path("parse", key)
+        path.write_bytes(damage(path.read_bytes()))
+    assert cache.load("parse", key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
 def test_quarantine_is_bounded(tmp_path):
     root = tmp_path / "cache"
     cache = SummaryCache(root)

@@ -198,6 +198,14 @@ class TestGarbagePeers:
         assert block == srv.connection_stats() or \
             block["max_connections"] == srv.max_connections
 
+    def test_control_op_with_unknown_field_is_structured_error(
+            self, server):
+        _, path = server
+        resp = single_request(path, {"op": "ping", "bogus": 1})
+        assert resp["status"] == "error"
+        assert resp["error"]["unknown_fields"] == ["bogus"]
+        assert single_request(path, {"op": "ping"})["pong"] is True
+
 
 # ---------------------------------------------------------------------------
 # Idle timeout: half-open peers, including the pre-first-byte window
@@ -209,9 +217,12 @@ class TestIdleTimeout:
         used to hold its connection thread until process exit."""
         with make_server("cache", idle_timeout=0.4) as (srv, path):
             s = raw_conn(path)        # say nothing
+            # wait on the eviction itself: "open" already reads 0
+            # before the accept thread registers the connection
+            assert wait_for(
+                lambda: srv.connection_stats()["evicted_idle"] >= 1)
             assert wait_for(
                 lambda: srv.connection_stats()["open"] == 0)
-            assert srv.connection_stats()["evicted_idle"] >= 1
             # the server closed its end: our recv sees EOF
             s.settimeout(3.0)
             assert s.recv(1) == b""
@@ -267,9 +278,13 @@ class TestConnectionCap:
 # Client side: bounded replies, failover, version stamping
 # ---------------------------------------------------------------------------
 
+#: a non-control op the scripted servers below answer themselves
+ANALYZE = {"op": "analyze"}
+
+
 class _BigReplyServer(LineServer):
-    """Answers every request with a reply far past the test client's
-    bound."""
+    """Answers every non-control request with a reply far past the
+    test client's bound."""
 
     def handle_request(self, raw: dict) -> dict:
         return {"id": raw.get("id"), "op": raw.get("op"),
@@ -277,7 +292,9 @@ class _BigReplyServer(LineServer):
 
 
 class _TaggedServer(LineServer):
-    """Pongs tagged with the server's name, for failover assertions."""
+    """Replies tagged with the server's name, for failover assertions.
+    ``LineServer`` answers ``ping`` itself, so the tests send an
+    idempotent ``analyze``, which the client resends on reconnect."""
 
     def __init__(self, socket_path: str, tag: str, **wire):
         super().__init__(socket_path, **wire)
@@ -298,7 +315,7 @@ class TestClientSide:
             client = ServiceClient(path, timeout=10.0,
                                    max_reply_bytes=10_000)
             with pytest.raises(ApiError) as excinfo:
-                client.request({"op": "ping"})
+                client.request(ANALYZE)
             err = excinfo.value
             assert isinstance(err, OversizedReplyError)
             assert isinstance(err, ProtocolError)
@@ -320,10 +337,10 @@ class TestClientSide:
             client = ServiceClient(f"unix:{a_path},unix:{b_path}",
                                    timeout=10.0)
             assert client.endpoints == [a_path, b_path]
-            assert client.request({"op": "ping"})["served_by"] == "A"
+            assert client.request(ANALYZE)["served_by"] == "A"
             # kill the preferred endpoint: the next request fails over
             a.shutdown()
-            assert client.request({"op": "ping"})["served_by"] == "B"
+            assert client.request(ANALYZE)["served_by"] == "B"
             assert client.endpoint == b_path
             # bring A back: a reconnect rediscovers the preferred
             # endpoint because connect() re-walks the list in order
@@ -331,8 +348,7 @@ class TestClientSide:
             a2.start()
             try:
                 client.close()
-                assert client.request({"op": "ping"})["served_by"] \
-                    == "A2"
+                assert client.request(ANALYZE)["served_by"] == "A2"
             finally:
                 a2.shutdown()
             client.close()
@@ -354,7 +370,7 @@ class TestClientSide:
         srv = EchoServer(path)
         srv.start()
         try:
-            resp = single_request(path, {"op": "ping"})
+            resp = single_request(path, ANALYZE)
             # the response is stamped; the request's `v` was consumed
             # by the transport layer before handle_request saw it
             assert resp["v"] == PROTOCOL_VERSION
